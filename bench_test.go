@@ -16,7 +16,6 @@
 //	BenchmarkBaselinePipeline     — host-pipeline simulation throughput
 //	BenchmarkFastForwardPipeline  — functional fast-forward throughput
 //	BenchmarkSampledPipeline      — SMARTS-style sampled simulation
-//	BenchmarkBatchedFabricInvoke  — batched fabric evaluation steady state
 //	BenchmarkParallelSweep        — Figure 8 sweep at 1..N workers (the
 //	                                internal/runner speedup measurement)
 package dynaspam_test
@@ -309,7 +308,9 @@ func BenchmarkParallelSweep(b *testing.B) {
 // target is always predicted once warm) keeps the pipeline saturated while
 // the cycle budget caps the run at exactly b.N cycles, so ns/op is ns per
 // simulated cycle and allocs/op is the steady-state per-cycle allocation
-// count of the scheduler, wakeup, and commit machinery.
+// count of the scheduler, wakeup, and commit machinery. Cycle accounting is
+// unconditional, so the figures include it; after the timed run the CPI
+// stack must sum exactly to the cycles simulated.
 func BenchmarkCPUStep(b *testing.B) {
 	p := program.NewBuilder("step").
 		Label("loop").
@@ -317,34 +318,6 @@ func BenchmarkCPUStep(b *testing.B) {
 		Add(isa.R(4), isa.R(3), isa.R(1)).
 		Add(isa.R(5), isa.R(4), isa.R(2)).
 		Add(isa.R(6), isa.R(5), isa.R(1)).
-		Jmp("loop").
-		Halt().
-		MustBuild()
-	cfg := ooo.DefaultConfig()
-	cfg.MaxCycles = uint64(b.N)
-	cpu := ooo.New(cfg, p, mem.New(), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	// The infinite loop exits via the cycle budget; that error is the
-	// benchmark's intended stop condition, not a failure.
-	if err := cpu.Run(); err == nil {
-		b.Fatal("infinite loop halted unexpectedly")
-	}
-}
-
-// BenchmarkCPIStackOverhead measures the per-cycle cost of the pipeline
-// with cycle accounting exercised on the same saturated register loop as
-// BenchmarkCPUStep: classification runs once per counted cycle, so comparing
-// the two benchmarks' ns/op isolates what attribution adds to the OOO loop.
-// Attribution must stay at 0 allocs/op (the stack is a fixed array embedded
-// in the CPU), and the stack must sum exactly to the cycles simulated.
-func BenchmarkCPIStackOverhead(b *testing.B) {
-	p := program.NewBuilder("cpistep").
-		Label("loop").
-		Add(isa.R(3), isa.R(1), isa.R(2)).
-		Add(isa.R(4), isa.R(3), isa.R(2)).
-		Add(isa.R(5), isa.R(4), isa.R(1)).
-		Add(isa.R(6), isa.R(5), isa.R(2)).
 		Jmp("loop").
 		Halt().
 		MustBuild()
@@ -493,51 +466,4 @@ func BenchmarkSampledPipeline(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/float64(b.N), "insts/run")
 	b.ReportMetric(float64(windows)/float64(b.N), "windows/run")
-}
-
-// BenchmarkBatchedFabricInvoke measures the batched steady state of the
-// fabric evaluator: chunks of 64 invocations of one configuration through
-// RunBatch, which skips the per-invocation value-scratch clear and stripe
-// walk. Compare ns/op (per invocation) and allocs/op against
-// BenchmarkFabricInvoke; both must stay at 0 allocs/op.
-func BenchmarkBatchedFabricInvoke(b *testing.B) {
-	w, err := workloads.ByAbbrev("HS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := fabric.DefaultGeometry()
-	var cfg *fabric.Config
-	for _, tr := range experiments.SampleTraces(w, 32) {
-		if c, err := mapper.MapStatic(tr, g, 0, len(tr)); err == nil {
-			cfg = c
-			break
-		}
-	}
-	if cfg == nil {
-		b.Fatal("no mappable sample trace")
-	}
-	f := fabric.New(g)
-	env := fabric.EvalEnv{
-		ReadMem:     func(addr uint64) uint64 { return addr ^ 0x9e3779b9 },
-		AccessMem:   func(addr uint64, write bool) int { return 2 },
-		Speculative: true,
-	}
-	liveIns := make([]uint64, len(cfg.LiveIns))
-	for i := range liveIns {
-		liveIns[i] = uint64(i + 1)
-	}
-	const chunk = 64
-	invs := make([]fabric.Invocation, chunk)
-	for i := range invs {
-		invs[i] = fabric.Invocation{Cfg: cfg, LiveIns: liveIns, Now: int64(i)}
-	}
-	dst := make([]ooo.TraceResult, 0, chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += chunk {
-		dst = f.RunBatch(invs, env, dst[:0])
-		for j := range dst {
-			f.Release(&dst[j])
-		}
-	}
 }

@@ -37,9 +37,8 @@
 // as jobs (POST /jobs), queue FIFO, run -max-jobs at a time, and — with a
 // -state directory — survive crashes by resuming at their first
 // unfinished cell; identical resubmissions are served from a result
-// cache. POST /sweep remains as a deprecated synchronous shim. See
-// OPERATIONS.md for the full API. Telemetry is observe-only: simulation
-// outputs are bit-identical with the server on or off.
+// cache. See OPERATIONS.md for the full API. Telemetry is observe-only:
+// simulation outputs are bit-identical with the server on or off.
 package main
 
 import (

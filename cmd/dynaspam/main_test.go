@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dynaspam/internal/jobs"
 	"dynaspam/internal/telemetry"
@@ -150,11 +152,10 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// TestSweepHandler drives the deprecated POST /sweep shim through the
-// telemetry mux: method and parameter validation, the legacy response
-// shape, and results landing in /status and the aggregator via the jobs
-// plane. Unlike the old single-slot server there is no 409 busy guard —
-// submissions queue.
+// TestSweepHandler drives a sweep through the serve mux's jobs API: a
+// PF,BP submission over POST /jobs must land its two cells in /status and
+// the aggregator and show the job done on /jobs. The retired synchronous
+// /sweep endpoint must no longer be routed.
 func TestSweepHandler(t *testing.T) {
 	tel := telemetry.NewServer("test", discardLogger())
 	defer tel.Shutdown(context.Background())
@@ -169,43 +170,37 @@ func TestSweepHandler(t *testing.T) {
 	}
 	defer plane.Shutdown(context.Background())
 	plane.Mount(tel)
-	tel.Handle("POST /sweep", &sweepShim{plane: plane, log: discardLogger()})
 	ts := httptest.NewServer(tel.Handler())
 	defer ts.Close()
 
-	if resp, err := http.Get(ts.URL + "/sweep"); err != nil {
+	if resp, err := http.Post(ts.URL+"/sweep?bench=PF,BP", "", nil); err != nil {
 		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /sweep = %d, want 405", resp.StatusCode)
-	}
-	if resp, err := http.Post(ts.URL+"/sweep", "", nil); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST without bench = %d, want 400", resp.StatusCode)
-	}
-	if resp, err := http.Post(ts.URL+"/sweep?bench=PF&mode=warp", "", nil); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST with bad mode = %d, want 400", resp.StatusCode)
+	} else if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("retired /sweep endpoint answered %d, want 404 or 405", resp.StatusCode)
 	}
 
-	resp, err := http.Post(ts.URL+"/sweep?bench=PF,BP", "", nil)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"bench":"PF,BP"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	var sub struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /sweep = %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("POST /jobs = %d (%v)", resp.StatusCode, err)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("shim response lacks Deprecation header")
+	done, ok := plane.Done(sub.ID)
+	if !ok {
+		t.Fatalf("submitted job %q unknown to the plane", sub.ID)
 	}
-	for _, want := range []string{`"cells": 2`, `"failed": 0`, "PF/accel-spec"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("sweep response missing %q: %s", want, body)
-		}
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("job %s never finished", sub.ID)
 	}
+
 	st := tel.Tracker().Status()
 	if len(st.Sweeps) != 1 || st.Sweeps[0].Done != 2 {
 		t.Errorf("tracker after sweep = %+v", st.Sweeps)
@@ -213,8 +208,6 @@ func TestSweepHandler(t *testing.T) {
 	if tel.Aggregator().Cells() != 2 {
 		t.Errorf("aggregator merged %d cells, want 2", tel.Aggregator().Cells())
 	}
-	// The shim rides the jobs plane: the submission must be visible on
-	// the jobs API too.
 	jresp, err := http.Get(ts.URL + "/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +215,6 @@ func TestSweepHandler(t *testing.T) {
 	jbody, _ := io.ReadAll(jresp.Body)
 	jresp.Body.Close()
 	if !strings.Contains(string(jbody), `"state": "done"`) {
-		t.Errorf("shim job not visible on /jobs: %s", jbody)
+		t.Errorf("job not done on /jobs: %s", jbody)
 	}
 }

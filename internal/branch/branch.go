@@ -66,14 +66,6 @@ type Stats struct {
 	BTBMisses   uint64
 }
 
-// Accuracy returns the fraction of correct direction predictions.
-func (s Stats) Accuracy() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return 1 - float64(s.Mispredicts)/float64(s.Lookups)
-}
-
 // Config sets the predictor geometry.
 type Config struct {
 	HistoryBits int // gshare history length; table is 2^HistoryBits counters

@@ -121,15 +121,9 @@ func TestStats(t *testing.T) {
 	if s.Lookups != 2 || s.Mispredicts != 1 || s.BTBMisses != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.Accuracy() != 0.5 {
-		t.Errorf("Accuracy = %v, want 0.5", s.Accuracy())
-	}
 	p.ResetStats()
 	if p.Stats().Lookups != 0 {
 		t.Error("ResetStats left counters")
-	}
-	if (Stats{}).Accuracy() != 0 {
-		t.Error("empty Accuracy != 0")
 	}
 }
 

@@ -29,14 +29,6 @@ type Stats struct {
 	Writeback uint64
 }
 
-// MissRate returns Misses/Accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one level of set-associative cache with true-LRU replacement.
 // A Cache is not safe for concurrent use, but distinct Caches share no
 // state, so independent simulations can run in parallel.

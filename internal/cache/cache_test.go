@@ -142,17 +142,6 @@ func TestHierarchyResetStats(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty MissRate != 0")
-	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Errorf("MissRate = %v, want 0.25", s.MissRate())
-	}
-}
-
 // Property: after accessing address a, an immediate re-access hits,
 // regardless of intervening accesses to fewer than assoc other blocks in the
 // same set.

@@ -5,7 +5,6 @@ import (
 
 	"dynaspam/internal/core"
 	"dynaspam/internal/energy"
-	"dynaspam/internal/stats"
 	"dynaspam/internal/workloads"
 )
 
@@ -165,5 +164,4 @@ func TestGeomeanHelpers(t *testing.T) {
 	if _, err := GeomeanEnergyReduction([]Fig9Row{{}}); err == nil {
 		t.Error("GeomeanEnergyReduction accepted a degenerate ratio")
 	}
-	_ = stats.Geomean // keep the import honest if assertions change
 }

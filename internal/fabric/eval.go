@@ -92,11 +92,12 @@ type evalScratch struct {
 	// with. Consecutive invocations of one configuration skip the
 	// per-invocation zeroing of values: every producing op writes its slot
 	// before any consumer reads it (strict index-order evaluation), and
-	// non-producing slots are never read, so the batch reuse is
-	// bit-identical to a zeroed scratch.
+	// non-producing slots are never read, so the reuse is bit-identical
+	// to a zeroed scratch.
 	lastCfg *Config
 	// stripeCfg marks the configuration perStripe currently describes, so
-	// batched invocations skip the per-invocation stripe walk in finish.
+	// consecutive invocations of one configuration skip the stripe walk in
+	// finish.
 	stripeCfg *Config
 }
 
@@ -250,12 +251,6 @@ func (f *Fabric) Evaluate(liveIns []uint64, env EvalEnv) ooo.TraceResult {
 	return f.Run(Invocation{Cfg: f.cfg, LiveIns: liveIns}, env)
 }
 
-// EvaluateWith runs one invocation of an explicit configuration with all
-// live-ins arriving now.
-func (f *Fabric) EvaluateWith(cfg *Config, liveIns []uint64, env EvalEnv) ooo.TraceResult {
-	return f.Run(Invocation{Cfg: cfg, LiveIns: liveIns}, env)
-}
-
 // Run executes one invocation functionally and computes its dataflow
 // schedule. Latency and live-out delays in the result are relative to
 // inv.Now; StartTimes are absolute, for the next invocation's initiation
@@ -273,9 +268,9 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 	// Non-producing ops (branches, stores) never write their value slot;
 	// clear the scratch on a configuration switch so a stale value can
 	// never leak between configurations the way a fresh allocation's zero
-	// could not. Back-to-back invocations of one configuration — the
-	// batched steady state — skip the O(n) clear: each producing slot is
-	// rewritten in index order before any consumer reads it.
+	// could not. Consecutive invocations of one configuration skip the
+	// O(n) clear: each producing slot is rewritten in index order before
+	// any consumer reads it.
 	if f.scratch.lastCfg != cfg {
 		for i := range values {
 			values[i] = 0
@@ -460,9 +455,9 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 				res.LastStoreDone = t
 			}
 		case op == isa.OpFSlt:
-			// Unconditional write: batch reuse of the values scratch
-			// (see Run's clear) requires every producing op to rewrite
-			// its slot each invocation.
+			// Unconditional write: reusing the values scratch across
+			// consecutive invocations (see Run's clear) requires every
+			// producing op to rewrite its slot each invocation.
 			v := uint64(0)
 			if math.Float64frombits(a) < math.Float64frombits(b) {
 				v = 1
@@ -506,20 +501,6 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 	return res
 }
 
-// RunBatch evaluates a sequence of invocations back-to-back, appending one
-// result per invocation to dst (which may be nil) and returning it. Results
-// are bit-identical to calling Run sequentially; the win is the batched
-// steady state of the evaluator — invocations sharing a configuration reuse
-// the value scratch without re-zeroing and skip the per-invocation stripe
-// walk (see Run and finish). Callers that Release each result recycle
-// record storage exactly as with Run.
-func (f *Fabric) RunBatch(invs []Invocation, env EvalEnv, dst []ooo.TraceResult) []ooo.TraceResult {
-	for i := range invs {
-		dst = append(dst, f.Run(invs[i], env))
-	}
-	return dst
-}
-
 // resizeUint64s returns s with length n, reusing its backing array when
 // large enough.
 func resizeUint64s(s []uint64, n int) []uint64 {
@@ -556,7 +537,8 @@ func (f *Fabric) finish(res *ooo.TraceResult, cfg *Config, now, maxDone int64, o
 		aborted := !res.ExitMatches || res.MemViolation
 		f.probe.FabricEval(uint64(now), cfg.StartPC, int64(res.Latency), int64(res.Ops), aborted)
 		// The per-stripe occupancy of a configuration is invariant across
-		// its invocations; batched invocations reuse the walk.
+		// its invocations; consecutive invocations of one configuration
+		// reuse the walk.
 		if f.scratch.stripeCfg != cfg {
 			if cap(f.scratch.perStripe) < f.Geom.Stripes {
 				f.scratch.perStripe = make([]int, f.Geom.Stripes)

@@ -67,7 +67,7 @@ func TestChainLatencyLinearProperty(t *testing.T) {
 	f2 := func(d uint8) bool {
 		depth := int(d%14) + 2
 		cfg := arithChain(g, depth)
-		res := f.EvaluateWith(cfg, []uint64{1}, env)
+		res := f.Run(Invocation{Cfg: cfg, LiveIns: []uint64{1}}, env)
 		// live-in at 1; level i done at i+2; +1 sync.
 		return res.Latency == depth+2
 	}
@@ -84,7 +84,7 @@ func TestChainValueProperty(t *testing.T) {
 	fn := func(v int32, d uint8) bool {
 		depth := int(d%14) + 2
 		cfg := arithChain(g, depth)
-		res := f.EvaluateWith(cfg, []uint64{uint64(int64(v))}, env)
+		res := f.Run(Invocation{Cfg: cfg, LiveIns: []uint64{uint64(int64(v))}}, env)
 		return int64(res.LiveOuts[0]) == int64(v)+int64(depth)
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {

@@ -151,17 +151,6 @@ type Config struct {
 	DatapathSlots int
 }
 
-// NumBranches counts control-flow instructions in the trace.
-func (c *Config) NumBranches() int {
-	n := 0
-	for i := range c.Insts {
-		if c.Insts[i].Inst.Op.IsBranch() {
-			n++
-		}
-	}
-	return n
-}
-
 // ActivePEs returns how many PEs the configuration powers on; the rest are
 // power-gated (§3.2).
 func (c *Config) ActivePEs() int { return len(c.Insts) }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -134,10 +135,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleSubmit implements POST /jobs.
+// maxSpecBytes bounds a POST /jobs body. A Spec is a few hundred bytes;
+// anything past this is refused before it is decoded.
+const maxSpecBytes = 1 << 20
+
+// handleSubmit implements POST /jobs. A body over maxSpecBytes gets 413
+// and nothing is queued or persisted.
 func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("spec body exceeds %d bytes", maxSpecBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

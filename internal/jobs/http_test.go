@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,30 @@ func TestJobsAPIErrors(t *testing.T) {
 	}
 }
 
+// TestJobsAPIRejectsOversizedSpec: a POST /jobs body past maxSpecBytes
+// gets 413, and nothing is queued or persisted.
+func TestJobsAPIRejectsOversizedSpec(t *testing.T) {
+	dir := t.TempDir()
+	p, _, h := mountedPlane(t, dir, 1)
+
+	body := `{"bench":"` + strings.Repeat("A", maxSpecBytes) + `"}`
+	if rec := doJSON(t, h, "POST", "/jobs", body, nil); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if jobs := p.List(); len(jobs) != 0 {
+		t.Errorf("oversized submission queued %d jobs", len(jobs))
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("oversized submission persisted %d files (%v)", len(ents), err)
+	}
+
+	// The limit is on the body, not on the plane: a normal spec still
+	// goes through afterwards.
+	if rec := doJSON(t, h, "POST", "/jobs", `{"bench":"PF"}`, nil); rec.Code != http.StatusAccepted {
+		t.Errorf("POST /jobs after oversized body = %d, want 202", rec.Code)
+	}
+}
+
 func TestJobsAPICancel(t *testing.T) {
 	p, _, h := mountedPlane(t, t.TempDir(), 1)
 
@@ -155,27 +180,26 @@ func TestConcurrentJobsDistinctMetrics(t *testing.T) {
 		}
 	}
 
-	// Both jobs simulated distinct workloads, so their per-job cycle
-	// counters must differ; equal values would suggest partitions bled
+	// Both jobs simulated distinct workloads, so their per-job base
+	// cycles must differ; equal values would suggest partitions bled
 	// into each other.
 	var cycles []string
 	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "dynaspam_job_sim_") && strings.Contains(line, "cycles_total{") {
+		if strings.HasPrefix(line, `dynaspam_job_cpistack_cycles_total{cause="base",`) {
 			cycles = append(cycles, line)
 		}
 	}
-	if len(cycles) == 2 {
-		va := strings.Fields(cycles[0])
-		vb := strings.Fields(cycles[1])
-		if len(va) == 2 && len(vb) == 2 && va[1] == vb[1] {
-			t.Errorf("per-job cycle counters identical across different workloads: %v", cycles)
-		}
+	if len(cycles) != 2 {
+		t.Fatalf("want one per-job base-cycles sample per job, got %v", cycles)
+	}
+	va, vb := strings.Fields(cycles[0]), strings.Fields(cycles[1])
+	if len(va) != 2 || len(vb) != 2 || va[1] == vb[1] {
+		t.Errorf("per-job cycle counters identical across different workloads: %v", cycles)
 	}
 }
 
-// TestSweepShimStillWorks — the deprecated synchronous POST /sweep shim
-// lives in cmd/dynaspam; here we only pin that queue wait helper Done()
-// reports unknown IDs.
+// TestDoneUnknownJob pins that the terminal-state wait channel Done()
+// reports unknown IDs, and is closed once a known job finishes.
 func TestDoneUnknownJob(t *testing.T) {
 	p, _ := newTestPlane(t, "", 1)
 	if _, ok := p.Done("job-404"); ok {

@@ -192,12 +192,6 @@ func (p *Predictor) Flush() {
 	}
 }
 
-// HasSet reports whether the instruction at pc currently belongs to a store
-// set (i.e. the predictor believes it participates in a memory dependence).
-func (p *Predictor) HasSet(pc uint64) bool {
-	return p.ssit[p.idx(pc)] != InvalidTag
-}
-
 // SameSet reports whether the instructions at PCs a and b currently share a
 // store set. The fabric's LDST units use this to decide whether a load must
 // order after an older store of the same trace without involving the LFST

@@ -23,8 +23,8 @@ func TestViolationCreatesDependence(t *testing.T) {
 	p := newTest()
 	loadPC, storePC := uint64(100), uint64(104)
 	p.Violation(loadPC, storePC)
-	if !p.HasSet(loadPC) || !p.HasSet(storePC) {
-		t.Fatal("violation did not assign store sets")
+	if !p.SameSet(loadPC, storePC) {
+		t.Fatal("violation did not put the load and store in one store set")
 	}
 	// Next encounter: store registers, load must wait for it.
 	if prev := p.CheckStore(storePC, 42); prev != InvalidTag {
@@ -86,7 +86,7 @@ func TestFlushClearsInFlightOnly(t *testing.T) {
 	if tag := p.CheckLoad(100); tag != InvalidTag {
 		t.Errorf("CheckLoad after Flush = %d, want InvalidTag", tag)
 	}
-	if !p.HasSet(100) {
+	if !p.SameSet(100, 104) {
 		t.Error("Flush erased SSIT training")
 	}
 }
@@ -96,7 +96,7 @@ func TestCyclicClearing(t *testing.T) {
 	p.Violation(100, 104) // tick 1
 	p.Violation(200, 204) // tick 2
 	p.Violation(300, 304) // tick 3 -> clear
-	if p.HasSet(100) || p.HasSet(300) {
+	if p.SameSet(100, 104) || p.SameSet(300, 304) {
 		t.Error("cyclic clear did not wipe SSIT")
 	}
 }

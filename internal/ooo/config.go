@@ -81,15 +81,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// TotalFUs returns the total number of functional units.
-func (c Config) TotalFUs() int {
-	n := 0
-	for _, v := range c.FUCounts {
-		n += v
-	}
-	return n
-}
-
 // validate panics on degenerate configurations; these are programming errors
 // in experiment setup, not runtime conditions.
 func (c Config) validate() {

@@ -37,7 +37,7 @@ func TestNilProbeZeroAlloc(t *testing.T) {
 		p.FabricEval(1, 2, 3, 4, false)
 		p.FabricExit(1, 2, 3)
 		p.FabricViolation(1, 2)
-		p.ObserveStripeOccupancy(3)
+		p.StripeOccupancy(1, 2, 3)
 		p.SetClock(nil)
 		p.SetDisasm(nil)
 		_ = p.Events()
@@ -117,7 +117,7 @@ func TestMetricsOnlyProbe(t *testing.T) {
 	if h := p.Metrics().Histogram(MetricInvocLatency); h == nil || h.Count != 1 || h.Sum != 17 {
 		t.Fatalf("metrics-only probe lost histogram samples: %+v", h)
 	}
-	if got := p.Metrics().GaugeValue(MetricFIFOOcc); got != 2 {
+	if got := p.Metrics().Snapshot()[MetricFIFOOcc]; got != 2 {
 		t.Fatalf("fifo occupancy gauge = %v, want 2", got)
 	}
 }

@@ -130,14 +130,6 @@ func (r *Registry) Gauge(name string, v float64) {
 	r.gauges[name] = v
 }
 
-// GaugeValue returns the named gauge's value (0 if absent).
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
-}
-
 // RegisterHistogram creates the named histogram with the given inclusive
 // upper bucket bounds. Registering an existing name replaces it.
 func (r *Registry) RegisterHistogram(name string, bounds []float64) *Histogram {
@@ -193,32 +185,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the set gauge names, sorted.
-func (r *Registry) GaugeNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // HistogramNames returns the registered histogram names, sorted.

@@ -15,9 +15,8 @@ func TestCounters(t *testing.T) {
 	if got := r.CounterValue("x"); got != 3 {
 		t.Fatalf("counter x = %v, want 3", got)
 	}
-	names := r.CounterNames()
-	if len(names) != 1 || names[0] != "x" {
-		t.Fatalf("CounterNames = %v", names)
+	if cs := r.Export().Counters; len(cs) != 1 || cs["x"] != 3 {
+		t.Fatalf("exported counters = %v, want only x=3", cs)
 	}
 }
 
@@ -73,11 +72,8 @@ func TestNilRegistry(t *testing.T) {
 	r.Counter("x", 1)
 	r.Observe("x", 1)
 	r.Gauge("x", 1)
-	if r.CounterValue("x") != 0 || r.Snapshot() != nil || r.CounterNames() != nil || r.HistogramNames() != nil || r.Histogram("x") != nil {
+	if r.CounterValue("x") != 0 || r.Snapshot() != nil || r.HistogramNames() != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry must be inert")
-	}
-	if r.GaugeValue("x") != 0 || r.GaugeNames() != nil {
-		t.Fatal("nil registry gauges must be inert")
 	}
 	ex := r.Export()
 	if len(ex.Counters) != 0 || len(ex.Gauges) != 0 || len(ex.Hists) != 0 {
@@ -87,17 +83,14 @@ func TestNilRegistry(t *testing.T) {
 
 func TestGauges(t *testing.T) {
 	r := NewRegistry()
-	if got := r.GaugeValue("missing"); got != 0 {
-		t.Fatalf("missing gauge = %v, want 0", got)
+	if gs := r.Export().Gauges; len(gs) != 0 {
+		t.Fatalf("fresh registry gauges = %v, want none", gs)
 	}
 	r.Gauge("occ", 3)
 	r.Gauge("occ", 1) // last write wins: gauges are levels, not sums
 	r.Gauge("heap", 42)
-	if got := r.GaugeValue("occ"); got != 1 {
-		t.Fatalf("gauge occ = %v, want 1", got)
-	}
-	if names := r.GaugeNames(); len(names) != 2 || names[0] != "heap" || names[1] != "occ" {
-		t.Fatalf("GaugeNames = %v, want [heap occ]", names)
+	if gs := r.Export().Gauges; len(gs) != 2 || gs["occ"] != 1 || gs["heap"] != 42 {
+		t.Fatalf("exported gauges = %v, want heap:42 occ:1", gs)
 	}
 	snap := r.Snapshot()
 	if snap["occ"] != 1 || snap["heap"] != 42 {

@@ -61,7 +61,6 @@ type Journal struct {
 	owned io.Closer // non-nil when the journal opened the file itself
 	err   error     // first write error, reported by Close
 	sync  bool      // flush after every entry (checkpoint mode)
-	lines int
 }
 
 // journalFlushBytes is the buffered-line threshold beyond which Write
@@ -131,7 +130,6 @@ func (j *Journal) Write(e Entry) error {
 	}
 	j.buf = append(j.buf, b...)
 	j.buf = append(j.buf, '\n')
-	j.lines++
 	if j.sync || len(j.buf) >= journalFlushBytes {
 		return j.flushLocked()
 	}
@@ -161,13 +159,6 @@ func (j *Journal) flushLocked() error {
 	}
 	j.buf = j.buf[:0]
 	return nil
-}
-
-// Lines returns the number of entries successfully written.
-func (j *Journal) Lines() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lines
 }
 
 // Close flushes buffered lines, releases the underlying file if the

@@ -2,12 +2,9 @@
 // the experiment harness: geometric means, ratios, percentages, and
 // fixed-width text tables.
 //
-// The geometric mean comes in two flavours with an explicit contract
-// split: Geomean panics on non-positive input — appropriate for test and
-// benchmark code where a non-positive speedup is an assertion failure —
-// while GeomeanErr returns the broken measurement as an error, which
-// library code (the experiments sweeps) uses so one degenerate cell surfaces
-// as a run failure instead of crashing a whole parallel sweep.
+// GeomeanErr returns a non-positive input as an error, so one degenerate
+// cell of an experiments sweep surfaces as a run failure instead of
+// crashing a whole parallel sweep.
 //
 // Table renders aligned monospace tables; it is the single formatter behind
 // every figure and table the harness prints, which is what makes sweep
@@ -19,18 +16,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Geomean returns the geometric mean of xs; it returns 0 for an empty slice
-// and panics on non-positive values (which indicate a broken measurement).
-// Library code assembling sweep results should prefer GeomeanErr, which
-// reports the broken measurement as an error instead of crashing the sweep.
-func Geomean(xs []float64) float64 {
-	g, err := GeomeanErr(xs)
-	if err != nil {
-		panic(err.Error())
-	}
-	return g
-}
 
 // GeomeanErr returns the geometric mean of xs. It returns 0 for an empty
 // slice, and an error naming the offending value if any element is

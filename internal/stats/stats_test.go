@@ -8,27 +8,14 @@ import (
 )
 
 func TestGeomean(t *testing.T) {
-	if g := Geomean(nil); g != 0 {
-		t.Errorf("Geomean(nil) = %v", g)
-	}
-	if g := Geomean([]float64{4}); g != 4 {
-		t.Errorf("Geomean([4]) = %v", g)
-	}
-	if g := Geomean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("Geomean([1,4]) = %v, want 2", g)
-	}
-	if g := Geomean([]float64{2, 2, 2}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("Geomean([2,2,2]) = %v", g)
-	}
-}
-
-func TestGeomeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Geomean accepted 0")
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{{nil, 0}, {[]float64{4}, 4}, {[]float64{1, 4}, 2}, {[]float64{2, 2, 2}, 2}} {
+		if g, err := GeomeanErr(tc.xs); err != nil || math.Abs(g-tc.want) > 1e-12 {
+			t.Errorf("GeomeanErr(%v) = %v, %v; want %v", tc.xs, g, err, tc.want)
 		}
-	}()
-	Geomean([]float64{1, 0})
+	}
 }
 
 func TestGeomeanErr(t *testing.T) {
@@ -60,8 +47,8 @@ func TestGeomeanBoundsProperty(t *testing.T) {
 		for _, x := range xs {
 			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
-		g := Geomean(xs)
-		return g >= lo-1e-9 && g <= hi+1e-9
+		g, err := GeomeanErr(xs)
+		return err == nil && g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -195,8 +195,10 @@ func (t *TCache) Unhot(key TraceKey) {
 	}
 }
 
-// ResetWindow clears the committed-branch window (pipeline squash between
-// non-contiguous regions).
+// ResetWindow clears the committed-branch window, so the next key forms
+// only from branches committed after the call. The simulator never calls
+// it: the window slides over the committed-branch stream, which squashes
+// do not interrupt. Tests use it to feed independent branch patterns.
 func (t *TCache) ResetWindow() { t.window = t.window[:0] }
 
 // Stats returns a copy of the counters.

@@ -96,10 +96,14 @@ func formatValue(v float64) string {
 // names arriving here already passed probe's charset validation at
 // registration, so prefixed names are valid by construction. Counters get
 // the conventional _total suffix; histograms expand to cumulative buckets.
+// Cycle-accounting counters are left to writeCPIStack.
 func writeExport(e *expoWriter, ex probe.Export) {
 	names := make([]string, 0, len(ex.Counters))
+	//lint:allow mapiter collect-then-sort: sort.Strings below makes names order-independent
 	for name := range ex.Counters {
-		names = append(names, name)
+		if !strings.HasPrefix(name, cpiCounterPrefix) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -150,7 +154,8 @@ func writeHistSeries(e *expoWriter, full string, id []label, h probe.Histogram) 
 // every sample labeled with its job_id. The exposition format requires a
 // family's samples to be contiguous, so the outer loop is over metric
 // names (the union across jobs, sorted) and the inner loop over jobs —
-// one header per family, then one sample per job.
+// one header per family, then one sample per job. Cycle-accounting
+// counters are left to writeCPIStack.
 func writeJobExports(e *expoWriter, jobs []JobExport) {
 	if len(jobs) == 0 {
 		return
@@ -158,6 +163,9 @@ func writeJobExports(e *expoWriter, jobs []JobExport) {
 
 	counters := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters })
 	for _, name := range counters {
+		if strings.HasPrefix(name, cpiCounterPrefix) {
+			continue
+		}
 		full := jobSimPrefix + name + "_total"
 		e.header(full, "Simulation counter "+name+" summed across one job's finished cells.", "counter")
 		for _, j := range jobs {
@@ -204,18 +212,16 @@ func writeJobExports(e *expoWriter, jobs []JobExport) {
 }
 
 // cpiCounterPrefix is the probe-registry spelling of the cycle-accounting
-// buckets (internal/cpistack cause names appended); writeCPIStack re-renders
-// them as labeled families so dashboards can stack the causes of one series
-// instead of juggling eighteen.
+// buckets (internal/cpistack cause names appended). writeCPIStack renders
+// them as cause-labeled families so dashboards can stack the causes of one
+// series instead of juggling eighteen; writeExport and writeJobExports skip
+// them, so each cause appears on the page exactly once per family.
 const cpiCounterPrefix = "cpi_cycles_"
 
 // writeCPIStack renders the cycle-accounting stack as cause-labeled
 // families: dynaspam_cpistack_cycles_total{cause=...} for the cross-job
 // total and dynaspam_job_cpistack_cycles_total{cause=...,job_id=...} per
-// job partition. The same numbers also appear as the generic
-// dynaspam_sim_cpi_cycles_*_total counters rendered by writeExport; the
-// labeled form is the dashboard-friendly one, the generic form falls out of
-// the registry plumbing. Both sum exactly to the merged runs' total cycles.
+// job partition. Each sums exactly to the merged runs' total cycles.
 func writeCPIStack(e *expoWriter, ex probe.Export, jobs []JobExport) {
 	causes := make([]string, 0, 8)
 	//lint:allow mapiter collect-then-sort: sort.Strings below makes causes order-independent
@@ -233,31 +239,23 @@ func writeCPIStack(e *expoWriter, ex probe.Export, jobs []JobExport) {
 		}
 	}
 
-	jobCauses := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters })
-	var samples []ExtraSample
-	for _, name := range jobCauses {
+	const jobFull = "dynaspam_job_cpistack_cycles_total"
+	headed := false
+	for _, name := range unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters }) {
 		if !strings.HasPrefix(name, cpiCounterPrefix) {
 			continue
 		}
 		c := strings.TrimPrefix(name, cpiCounterPrefix)
 		for _, j := range jobs {
-			if v, ok := j.Export.Counters[name]; ok {
-				samples = append(samples, ExtraSample{
-					Labels: []Label{{"cause", c}, {"job_id", j.JobID}},
-					Value:  v,
-				})
+			v, ok := j.Export.Counters[name]
+			if !ok {
+				continue
 			}
-		}
-	}
-	if len(samples) > 0 {
-		const full = "dynaspam_job_cpistack_cycles_total"
-		e.header(full, "Cycles attributed to each cycle-accounting cause within one job's finished cells.", "counter")
-		for _, s := range samples {
-			ls := make([]label, len(s.Labels))
-			for i, l := range s.Labels {
-				ls[i] = label{l.Key, l.Value}
+			if !headed {
+				e.header(jobFull, "Cycles attributed to each cycle-accounting cause within one job's finished cells.", "counter")
+				headed = true
 			}
-			e.sample(full, ls, s.Value)
+			e.sample(jobFull, []label{{"cause", c}, {"job_id", j.JobID}}, v)
 		}
 	}
 }

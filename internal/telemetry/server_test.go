@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -156,6 +157,32 @@ func TestStartShutdown(t *testing.T) {
 	// Shutdown is idempotent.
 	if err := tel.Shutdown(ctx); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestStalledClientDisconnected: a client that connects and never sends
+// its request headers is cut off after the header timeout, while the
+// listener keeps no WriteTimeout that would end SSE streams.
+func TestStalledClientDisconnected(t *testing.T) {
+	tel := NewServer("r", testLogger())
+	tel.headerTimeout = 100 * time.Millisecond
+	addr, err := tel.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Shutdown(context.Background())
+	if tel.srv.IdleTimeout != idleTimeout || tel.srv.WriteTimeout != 0 {
+		t.Errorf("IdleTimeout = %v, WriteTimeout = %v; want %v and none", tel.srv.IdleTimeout, tel.srv.WriteTimeout, idleTimeout)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read on stalled connection = %v, want EOF from the server closing it", err)
 	}
 }
 

@@ -41,6 +41,16 @@ import (
 // samplePeriod is how often the runtime sampler refreshes go_* metrics.
 const samplePeriod = time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that connects and stalls cannot pin a
+// connection and its goroutine. idleTimeout closes keep-alive connections
+// left unused between requests. There is deliberately no WriteTimeout: it
+// would cut off the /events SSE stream and seconds=N profile captures.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is the telemetry plane. Construct with NewServer, attach its
 // Aggregator and Reporter to the sweep machinery, and either mount
 // Handler on an existing mux or call Start/Shutdown for a standalone
@@ -52,6 +62,8 @@ type Server struct {
 	tracker *Tracker
 	sampler *sampler
 	mux     *http.ServeMux
+	// headerTimeout is readHeaderTimeout; tests shorten it.
+	headerTimeout time.Duration
 
 	mu       sync.Mutex
 	srv      *http.Server
@@ -73,6 +85,8 @@ func NewServer(runID string, log *slog.Logger) *Server {
 		tracker: NewTracker(runID),
 		sampler: newSampler(samplePeriod),
 		mux:     http.NewServeMux(),
+
+		headerTimeout: readHeaderTimeout,
 	}
 	s.Handle("/metrics", http.HandlerFunc(s.serveMetrics))
 	s.Handle("/healthz", http.HandlerFunc(s.serveHealthz))
@@ -97,9 +111,9 @@ func (s *Server) Reporter() runner.Reporter { return s.tracker }
 // directly.
 func (s *Server) Tracker() *Tracker { return s.tracker }
 
-// Handle registers an additional handler (e.g. the jobs API or serve
-// mode's /sweep shim) on the plane's mux and records its pattern for
-// Patterns. Must be called before Start.
+// Handle registers an additional handler (e.g. the jobs API) on the
+// plane's mux and records its pattern for Patterns. Must be called before
+// Start.
 func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, h)
 	s.mu.Lock()
@@ -142,7 +156,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.headerTimeout, IdleTimeout: idleTimeout}
 	s.mu.Lock()
 	s.srv = srv
 	s.mu.Unlock()
@@ -235,9 +249,10 @@ func writeAggregate(e *expoWriter, agg *Aggregator) {
 	e.sample("dynaspam_job_series_evicted_total", nil, float64(agg.JobSeriesEvicted()))
 	e.header("dynaspam_probe_events_dropped_total", "Trace events discarded by finished cells' probe MaxEvents caps.", "counter")
 	e.sample("dynaspam_probe_events_dropped_total", nil, agg.EventsDropped())
-	writeExport(e, agg.Export())
-	writeJobExports(e, agg.JobExports())
-	writeCPIStack(e, agg.Export(), agg.JobExports())
+	ex, jobs := agg.Export(), agg.JobExports()
+	writeExport(e, ex)
+	writeJobExports(e, jobs)
+	writeCPIStack(e, ex, jobs)
 }
 
 // writeRuntime renders go_* process-health metrics from the sampler.
