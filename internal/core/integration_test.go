@@ -1,15 +1,98 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"dynaspam/internal/interp"
 	"dynaspam/internal/workloads"
 )
 
+// frameworkGolden pins every framework decision of a run — hot flips,
+// mapping sessions and their outcomes, offloads and denials, squashes,
+// disables, reconfigurations and both caches' counters — per test cell, so
+// a refactor of the framework's bookkeeping that changes any decision fails
+// here even when memory and commit counts still match. Regenerate with
+// DYNASPAM_UPDATE_GOLDEN=1 only after an intentional behaviour change.
+const frameworkGolden = "testdata/framework_stats.golden"
+
+// fingerprint renders the framework counters of a finished run on one line.
+func fingerprint(sys *System) string {
+	cs := sys.CPU().Stats()
+	return fmt.Sprintf("cycles=%d committed=%d core=%+v mapped=%d offloaded=%d reconfigs=%d lifetime=%v cfgcache=%+v tcache=%+v",
+		cs.Cycles, cs.Committed, sys.Stats(), sys.MappedTraces(), sys.OffloadedTraces(),
+		sys.Fabrics().Reconfigurations(), sys.Fabrics().AvgLifetime(),
+		sys.CfgCache().Stats(), sys.TCache().Stats())
+}
+
+// readFingerprints parses the golden file into cell name → fingerprint.
+func readFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	data, err := os.ReadFile(frameworkGolden)
+	if os.IsNotExist(err) {
+		return out
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, fp, ok := strings.Cut(line, ": ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", frameworkGolden, line)
+		}
+		out[name] = fp
+	}
+	return out
+}
+
+// checkFingerprints compares each cell in got against its golden line. With
+// DYNASPAM_UPDATE_GOLDEN set it rewrites those cells' lines instead, keeping
+// every other cell's.
+func checkFingerprints(t *testing.T, got map[string]string) {
+	t.Helper()
+	want := readFingerprints(t)
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if os.Getenv("DYNASPAM_UPDATE_GOLDEN") != "" {
+		for _, name := range names {
+			want[name] = got[name]
+		}
+		all := make([]string, 0, len(want))
+		for name, fp := range want {
+			all = append(all, name+": "+fp+"\n")
+		}
+		sort.Strings(all)
+		if err := os.MkdirAll(filepath.Dir(frameworkGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(frameworkGolden, []byte(strings.Join(all, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, name := range names {
+		w, ok := want[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: no golden fingerprint; run with DYNASPAM_UPDATE_GOLDEN=1 if the cell is new", name)
+		case got[name] != w:
+			t.Errorf("%s: framework fingerprint diverged from %s:\n got %s\nwant %s", name, frameworkGolden, got[name], w)
+		}
+	}
+}
+
 // TestAllWorkloadsAllModes is the backbone integration test: every Rodinia
 // workload must produce golden-identical memory and instruction counts under
-// every run mode. Short mode covers a representative subset.
+// every run mode, and framework counters identical to the golden
+// fingerprints. Short mode covers a representative subset.
 func TestAllWorkloadsAllModes(t *testing.T) {
 	ws := workloads.All()
 	if testing.Short() {
@@ -24,6 +107,7 @@ func TestAllWorkloadsAllModes(t *testing.T) {
 			if err := gold.Run(w.Prog, w.MaxInsts); err != nil {
 				t.Fatal(err)
 			}
+			got := make(map[string]string)
 			for _, mode := range modes {
 				m := w.NewMemory()
 				params := DefaultParams()
@@ -41,13 +125,16 @@ func TestAllWorkloadsAllModes(t *testing.T) {
 				if got := sys.CPU().Stats().Committed; got != gold.DynInsts {
 					t.Fatalf("%v: committed %d, interp %d", mode, got, gold.DynInsts)
 				}
+				got[w.Abbrev+"/"+mode.String()] = fingerprint(sys)
 			}
+			checkFingerprints(t, got)
 		})
 	}
 }
 
 // TestMultiFabricCorrectness ensures the LRU multi-fabric manager does not
-// change architectural results, only reconfiguration behaviour.
+// change architectural results, only reconfiguration behaviour, and that
+// each fabric count's framework counters match the golden fingerprints.
 func TestMultiFabricCorrectness(t *testing.T) {
 	w, err := workloads.ByAbbrev("KM")
 	if err != nil {
@@ -55,6 +142,7 @@ func TestMultiFabricCorrectness(t *testing.T) {
 	}
 	golden := w.GoldenMemory()
 	var reconfigs []uint64
+	got := make(map[string]string)
 	for _, nf := range []int{1, 2, 4} {
 		m := w.NewMemory()
 		params := DefaultParams()
@@ -67,7 +155,9 @@ func TestMultiFabricCorrectness(t *testing.T) {
 			t.Fatalf("fabrics=%d: %s", nf, diff)
 		}
 		reconfigs = append(reconfigs, sys.Fabrics().Reconfigurations())
+		got[fmt.Sprintf("KM/fabrics=%d", nf)] = fingerprint(sys)
 	}
+	checkFingerprints(t, got)
 	// More fabrics must not increase reconfigurations.
 	if reconfigs[2] > reconfigs[0] {
 		t.Errorf("reconfigs grew with fabrics: %v", reconfigs)

@@ -54,20 +54,45 @@ func TestFastForwardMatchesGolden(t *testing.T) {
 }
 
 // TestSampledMatchesGolden: sampled runs must also end bit-exact, across
-// modes, and must actually alternate detail and fast-forward.
+// modes, and must actually alternate detail and fast-forward. Each cell's
+// framework counters must match the golden fingerprints. The BFSX100 cell
+// at the default sampling geometry commits enough branches to cross the
+// periodic blacklist clear and reaps mapping sessions at window ends, so
+// both paths are pinned too.
 func TestSampledMatchesGolden(t *testing.T) {
-	w := workloads.BFS()
-	sim := SimPolicy{Mode: SimSampled, Warmup: 1000, DetailWindow: 4000, FFInterval: 30_000}
-	for _, mode := range []Mode{ModeBaseline, ModeMappingOnly, ModeAccelNoSpec, ModeAccel} {
-		sys := runPolicy(t, w, mode, sim)
-		st := sys.SimStats()
-		if st.Windows == 0 || st.FFInsts == 0 {
-			t.Fatalf("%v: windows=%d ffInsts=%d, want sampling to engage", mode, st.Windows, st.FFInsts)
-		}
-		if st.DetailInsts == 0 {
-			t.Fatalf("%v: no detailed commits", mode)
+	bfsx100, err := workloads.ByAbbrev("BFSX100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allModes := []Mode{ModeBaseline, ModeMappingOnly, ModeAccelNoSpec, ModeAccel}
+	cases := []struct {
+		w     *workloads.Workload
+		sim   SimPolicy
+		modes []Mode
+	}{
+		{workloads.BFS(), SimPolicy{Mode: SimSampled, Warmup: 1000, DetailWindow: 4000, FFInterval: 30_000}, allModes},
+		{bfsx100, SimPolicy{Mode: SimSampled}, []Mode{ModeAccel}},
+	}
+	got := make(map[string]string)
+	for _, c := range cases {
+		for _, mode := range c.modes {
+			sys := runPolicy(t, c.w, mode, c.sim)
+			st := sys.SimStats()
+			if st.Windows == 0 || st.FFInsts == 0 {
+				t.Fatalf("%s/%v: windows=%d ffInsts=%d, want sampling to engage", c.w.Abbrev, mode, st.Windows, st.FFInsts)
+			}
+			if st.DetailInsts == 0 {
+				t.Fatalf("%s/%v: no detailed commits", c.w.Abbrev, mode)
+			}
+			// The periodic clear fires every 1<<17 committed branches,
+			// detailed or fast-forwarded.
+			if c.w == bfsx100 && sys.branchesSeen < 1<<17 {
+				t.Fatalf("BFSX100: %d branches seen, want the periodic clear (1<<17) crossed", sys.branchesSeen)
+			}
+			got[c.w.Abbrev+"/"+mode.String()+"/sampled"] = fingerprint(sys)
 		}
 	}
+	checkFingerprints(t, got)
 }
 
 // TestWindowEquivalence: the first measured window of a sampled run is
