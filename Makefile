@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare figures trace-smoke explain-smoke serve-smoke jobs-smoke check
+.PHONY: all build test race vet lint perfbench-check bench-smoke bench bench-baseline bench-compare figures trace-smoke explain-smoke serve-smoke jobs-smoke check
 
 # Benchmarks covered by the regression gate: the two hot-loop
 # micro-benchmarks plus the end-to-end figure benchmarks whose history
@@ -34,6 +34,12 @@ vet:
 lint:
 	@start=$$(date +%s); $(GO) run ./cmd/dynalint ./...; status=$$?; \
 	end=$$(date +%s); echo "lint: $$((end-start))s wall"; exit $$status
+
+# perfbench/ is its own Go module (it replaces dynaspam with ../), so the
+# root `go build ./...` never compiles it. Vet and test it here so an API
+# change in the simulator cannot break the repository benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark (each regenerates a paper figure) as a
 # smoke test; full statistics come from `make bench`.
@@ -202,4 +208,4 @@ jobs-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "jobs-smoke OK"
 
-check: build vet lint test race
+check: build vet lint test perfbench-check race

@@ -69,7 +69,7 @@ func main() {
 
 	// Execute one invocation: live-ins r1..r6 = 10,20,30,40,50,60.
 	f := fabric.New(geom)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	liveIns := make([]uint64, len(cfg.LiveIns))
 	for i, r := range cfg.LiveIns {
 		liveIns[i] = uint64(10 * (int(r) % 64))

@@ -200,7 +200,6 @@ func (c *Cache) maybeDecay() {
 // per-configuration lifetimes (Table 5).
 type Fabrics struct {
 	insts   []*fabric.Fabric
-	keys    []tcache.TraceKey
 	lru     []uint64
 	current []uint64 // invocations since last reconfiguration per fabric
 	tick    uint64
@@ -209,10 +208,9 @@ type Fabrics struct {
 	// invocation after a reconfiguration.
 	ReconfigPenalty int
 
-	lifetimes   []uint64 // completed configuration lifetimes
-	reconfigs   uint64
-	invocations uint64
-	probe       *probe.Probe
+	lifetimes []uint64 // completed configuration lifetimes
+	reconfigs uint64
+	probe     *probe.Probe
 }
 
 // NewFabrics builds n fabrics of geometry g.
@@ -222,7 +220,6 @@ func NewFabrics(n int, g fabric.Geometry, reconfigPenalty int) *Fabrics {
 	}
 	f := &Fabrics{
 		insts:           make([]*fabric.Fabric, n),
-		keys:            make([]tcache.TraceKey, n),
 		lru:             make([]uint64, n),
 		current:         make([]uint64, n),
 		ReconfigPenalty: reconfigPenalty,
@@ -233,14 +230,16 @@ func NewFabrics(n int, g fabric.Geometry, reconfigPenalty int) *Fabrics {
 	return f
 }
 
-// Acquire returns the fabric configured for (key, cfg), reconfiguring the
-// LRU fabric if necessary, plus the startup penalty for the next invocation
-// (nonzero only right after reconfiguration).
-func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabric, int) {
+// Acquire returns the fabric configured for cfg, reconfiguring the LRU
+// fabric if necessary, plus the startup penalty for the next invocation
+// (nonzero only right after reconfiguration). Each call is one invocation
+// and counts toward the holding fabric's configuration lifetime.
+func (f *Fabrics) Acquire(cfg *fabric.Config) (*fabric.Fabric, int) {
 	f.tick++
 	for i, inst := range f.insts {
 		if inst.Configured() == cfg {
 			f.lru[i] = f.tick
+			f.current[i]++
 			return inst, 0
 		}
 	}
@@ -255,24 +254,12 @@ func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabr
 	if inst.Configured() != nil {
 		f.lifetimes = append(f.lifetimes, f.current[victim])
 	}
-	f.current[victim] = 0
-	f.keys[victim] = key
+	f.current[victim] = 1
 	f.lru[victim] = f.tick
 	f.reconfigs++
-	inst.Configure(cfg, f.ReconfigPenalty)
+	inst.Configure(cfg)
 	f.probe.Reconfig(victim, f.ReconfigPenalty)
 	return inst, f.ReconfigPenalty
-}
-
-// NoteInvocation records one invocation on the fabric currently holding cfg.
-func (f *Fabrics) NoteInvocation(cfg *fabric.Config) {
-	f.invocations++
-	for i, inst := range f.insts {
-		if inst.Configured() == cfg {
-			f.current[i]++
-			return
-		}
-	}
 }
 
 // AvgLifetime returns the mean number of invocations per configuration,
@@ -298,9 +285,6 @@ func (f *Fabrics) AvgLifetime() float64 {
 
 // Reconfigurations returns how many times any fabric was reprogrammed.
 func (f *Fabrics) Reconfigurations() uint64 { return f.reconfigs }
-
-// Invocations returns the total invocations across fabrics.
-func (f *Fabrics) Invocations() uint64 { return f.invocations }
 
 // NumFabrics returns the number of managed fabrics.
 func (f *Fabrics) NumFabrics() int { return len(f.insts) }

@@ -107,29 +107,30 @@ func TestFabricsLRUAndLifetime(t *testing.T) {
 	f := NewFabrics(2, g, 32)
 	cA, cB, cC := fcfg(), fcfg(), fcfg()
 
-	instA, pen := f.Acquire(key(1), cA)
+	instA, pen := f.Acquire(cA)
 	if pen != 32 {
 		t.Errorf("first acquire penalty = %d, want 32", pen)
 	}
-	for i := 0; i < 10; i++ {
-		f.NoteInvocation(cA)
+	for i := 1; i < 10; i++ {
+		if _, pen := f.Acquire(cA); pen != 0 {
+			t.Errorf("repeat acquire penalty = %d, want 0", pen)
+		}
 	}
-	instB, _ := f.Acquire(key(2), cB)
+	instB, _ := f.Acquire(cB)
 	if instB == instA {
 		t.Error("second config overwrote non-LRU fabric")
 	}
-	for i := 0; i < 4; i++ {
-		f.NoteInvocation(cB)
+	for i := 1; i < 4; i++ {
+		f.Acquire(cB)
 	}
 	// Third config evicts the LRU (A, acquired earliest).
-	instC, pen := f.Acquire(key(3), cC)
+	instC, pen := f.Acquire(cC)
 	if pen != 32 {
 		t.Errorf("reconfig penalty = %d, want 32", pen)
 	}
 	if instC != instA {
 		t.Error("LRU policy picked wrong victim")
 	}
-	f.NoteInvocation(cC)
 
 	// Lifetimes: A completed with 10; B live with 4; C live with 1.
 	want := (10.0 + 4.0 + 1.0) / 3.0
@@ -139,16 +140,13 @@ func TestFabricsLRUAndLifetime(t *testing.T) {
 	if f.Reconfigurations() != 3 {
 		t.Errorf("Reconfigurations = %d, want 3", f.Reconfigurations())
 	}
-	if f.Invocations() != 15 {
-		t.Errorf("Invocations = %d, want 15", f.Invocations())
-	}
 }
 
 func TestAcquireSameConfigNoPenalty(t *testing.T) {
 	f := NewFabrics(1, fabric.DefaultGeometry(), 32)
 	c := fcfg()
-	f.Acquire(key(1), c)
-	if _, pen := f.Acquire(key(1), c); pen != 0 {
+	f.Acquire(c)
+	if _, pen := f.Acquire(c); pen != 0 {
 		t.Errorf("re-acquire penalty = %d, want 0", pen)
 	}
 	if f.Reconfigurations() != 1 {
@@ -163,10 +161,8 @@ func TestMoreFabricsFewerReconfigs(t *testing.T) {
 	run := func(n int) uint64 {
 		f := NewFabrics(n, fabric.DefaultGeometry(), 32)
 		for i := 0; i < 20; i++ {
-			f.Acquire(key(1), cA)
-			f.NoteInvocation(cA)
-			f.Acquire(key(2), cB)
-			f.NoteInvocation(cB)
+			f.Acquire(cA)
+			f.Acquire(cB)
 		}
 		return f.Reconfigurations()
 	}

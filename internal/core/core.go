@@ -139,31 +139,16 @@ type System struct {
 	session    *mapper.Session
 	sessionKey tcache.TraceKey
 
-	// offloadedKeys tracks which mapped traces ever ran on the fabric.
-	offloadedKeys map[tcache.TraceKey]bool
-	mappedKeys    map[tcache.TraceKey]bool
-	// blockOnce marks traces that must run once on the host after a
-	// squash (re-execution per §3.2).
-	blockOnce map[tcache.TraceKey]bool
-	// inflight counts in-flight invocations per configuration, bounded by
-	// the FIFO depth.
-	inflight map[*fabric.Config]int
-	// pendingPenalty carries a reconfiguration penalty to the next
-	// invocation of a config.
-	pendingPenalty map[*fabric.Config]int
-	// health tracks per-trace offload/exit counts for the chronic-exit
-	// filter.
-	health map[tcache.TraceKey]keyHealth
-	// lastStarts holds each configuration's previous invocation schedule
-	// (per-PE initiation constraint).
-	lastStarts map[*fabric.Config][]int64
-	// disabled blacklists traces that proved unstable (chronic exits or
-	// repeated mapping aborts); cleared periodically so phase changes get
-	// another chance.
-	disabled      map[tcache.TraceKey]bool
-	abortCount    map[tcache.TraceKey]int
+	// traces holds the framework's record of every trace fetch has walked;
+	// configs the invocation state of every configuration offloaded.
+	traces  map[tcache.TraceKey]*traceState
+	configs map[*fabric.Config]*cfgState
+	// mappedTraces and offloadedTraces count the records whose mapped and
+	// offloaded flags have flipped.
+	mappedTraces    int
+	offloadedTraces int
+
 	branchesSeen  uint64
-	lastEval      map[*fabric.Config]uint64
 	lastStoreDone int64
 
 	stats Stats
@@ -177,8 +162,8 @@ type System struct {
 
 	// probe is the attached observability tracer; nil (the default) means
 	// tracing is disabled and every probe call below is a nil-receiver
-	// no-op. inflightTotal mirrors the sum of inflight for the FIFO
-	// occupancy probe point.
+	// no-op. inflightTotal mirrors the sum of the configs' inflight
+	// counts for the FIFO occupancy probe point.
 	probe         *probe.Probe
 	inflightTotal int
 
@@ -189,10 +174,48 @@ type System struct {
 	cpiPrevEst uint64
 }
 
-type keyHealth struct {
-	offloads uint64
-	commits  uint64
-	exits    uint64
+// traceState is the framework's record of one trace.
+type traceState struct {
+	key tcache.TraceKey
+	// mapped and offloaded latch once a configuration was produced and
+	// once it first ran on the fabric.
+	mapped    bool
+	offloaded bool
+	// blockNext denies the next offload after a squash so that occurrence
+	// re-executes on the host (the block-once rule, §3.2).
+	blockNext bool
+	// disabled blacklists a trace that proved unstable or unmappable;
+	// aborts counts its mapping aborts toward that. The periodic clear in
+	// noteBranch resets both so phase changes get another chance.
+	disabled bool
+	aborts   int
+	// commits and exits are the evaluated invocations the chronic-exit
+	// filter (noteExit) judges.
+	commits uint64
+	exits   uint64
+}
+
+// cfgState is the invocation state of one configuration.
+type cfgState struct {
+	cfg *fabric.Config
+	// inflight counts in-flight invocations, bounded by the FIFO depth.
+	inflight int
+	// penalty is the reconfiguration penalty owed by the next evaluation.
+	penalty int
+	// prevStarts is the previous invocation's schedule (per-PE initiation
+	// constraint).
+	prevStarts []int64
+	// prevEval is the cycle of the previous evaluation, valid once
+	// evaluated is set.
+	prevEval  uint64
+	evaluated bool
+	// predDirs, loadPCs and storePCs depend only on cfg: the trace's
+	// recorded branch directions (shifted into the global history by fetch
+	// at injection) and its simplified memory-instruction lists for the
+	// store-sets unit (§3.2). The pipeline only reads them.
+	predDirs []bool
+	loadPCs  []int
+	storePCs []int
 }
 
 // New builds a System over prog and memory m.
@@ -201,22 +224,14 @@ func New(params Params, prog *program.Program, m *mem.Memory) *System {
 		panic("core: TraceLen must be at least 2")
 	}
 	s := &System{
-		params:         params,
-		prog:           prog,
-		cpu:            ooo.New(params.OOO, prog, m, nil),
-		tc:             tcache.New(params.TCache),
-		cc:             cfgcache.New(params.CfgCache),
-		fabs:           cfgcache.NewFabrics(params.NumFabrics, params.Geometry, params.ReconfigPenalty),
-		offloadedKeys:  make(map[tcache.TraceKey]bool),
-		mappedKeys:     make(map[tcache.TraceKey]bool),
-		blockOnce:      make(map[tcache.TraceKey]bool),
-		inflight:       make(map[*fabric.Config]int),
-		pendingPenalty: make(map[*fabric.Config]int),
-		health:         make(map[tcache.TraceKey]keyHealth),
-		lastStarts:     make(map[*fabric.Config][]int64),
-		disabled:       make(map[tcache.TraceKey]bool),
-		abortCount:     make(map[tcache.TraceKey]int),
-		lastEval:       make(map[*fabric.Config]uint64),
+		params:  params,
+		prog:    prog,
+		cpu:     ooo.New(params.OOO, prog, m, nil),
+		tc:      tcache.New(params.TCache),
+		cc:      cfgcache.New(params.CfgCache),
+		fabs:    cfgcache.NewFabrics(params.NumFabrics, params.Geometry, params.ReconfigPenalty),
+		traces:  make(map[tcache.TraceKey]*traceState),
+		configs: make(map[*fabric.Config]*cfgState),
 	}
 	if params.Mode != ModeBaseline {
 		s.cpu.SetHooks(s.hooks())
@@ -249,11 +264,10 @@ func (s *System) Probe() *probe.Probe { return s.probe }
 // detection, configuration-cache, and fabric probe points. It wires p's
 // clock to the pipeline's cycle counter and its disassembler to the
 // program, so exported events are cycle-stamped and labelled. In baseline
-// mode — where New installs no hooks at all — it installs an observe-only
-// hook set that feeds the probe without training the T-Cache or starting
-// mapping sessions, so baseline behavior is bit-identical with and without
-// tracing. Call with nil to detach (baseline observe-only hooks stay
-// installed but become no-ops).
+// mode — where New installs no hooks at all — it installs the hook set then,
+// which in baseline only feeds the probe, so baseline behavior is
+// bit-identical with and without tracing. Call with nil to detach (the
+// baseline hooks stay installed but become no-ops).
 func (s *System) SetProbe(p *probe.Probe) {
 	s.probe = p
 	p.SetClock(s.cpu.Cycle)
@@ -272,7 +286,7 @@ func (s *System) SetProbe(p *probe.Probe) {
 		s.cpu.SetCPISampler(nil)
 	}
 	if s.params.Mode == ModeBaseline && p != nil {
-		s.cpu.SetHooks(s.observeHooks())
+		s.cpu.SetHooks(s.hooks())
 	}
 }
 
@@ -319,10 +333,10 @@ func (s *System) CPIStack() cpistack.Stack {
 }
 
 // MappedTraces returns how many distinct traces were successfully mapped.
-func (s *System) MappedTraces() int { return len(s.mappedKeys) }
+func (s *System) MappedTraces() int { return s.mappedTraces }
 
 // OffloadedTraces returns how many distinct traces ran on the fabric.
-func (s *System) OffloadedTraces() int { return len(s.offloadedKeys) }
+func (s *System) OffloadedTraces() int { return s.offloadedTraces }
 
 // Run simulates until the program halts.
 func (s *System) Run() error {
@@ -341,43 +355,12 @@ func (s *System) RunCtx(ctx context.Context) error {
 	return s.runSampledCtx(ctx)
 }
 
-// observeHooks is the baseline-mode hook set: pipeline lifecycle events
-// flow to the probe, but nothing feeds trace detection or mapping, so a
-// probed baseline run is cycle-identical to an unprobed one.
-func (s *System) observeHooks() ooo.Hooks {
-	return ooo.Hooks{
-		OnFetch: func(pc int, seq uint64) {
-			if s.probe != nil {
-				s.probe.Fetch(s.cpu.Cycle(), seq, pc)
-			}
-		},
-		OnIssue: func(e *ooo.RSEntry, fu isa.FUType, unit int) {
-			if s.probe != nil {
-				s.probe.Issue(s.cpu.Cycle(), e.Seq(), e.PC(), int64(fu), int64(unit))
-			}
-		},
-		OnWriteback: func(pc int, seq uint64) {
-			if s.probe != nil {
-				s.probe.Writeback(s.cpu.Cycle(), seq, pc)
-			}
-		},
-		OnCommit: func(pc int, seq uint64, op isa.Op) {
-			if s.probe != nil {
-				s.probe.Commit(s.cpu.Cycle(), seq, pc)
-			}
-		},
-		OnSquash: func(seqBoundary uint64) {
-			if s.probe != nil {
-				s.probe.PipelineSquash(s.cpu.Cycle(), seqBoundary)
-			}
-		},
-	}
-}
-
-// hooks wires the framework into the pipeline.
+// hooks wires the framework into the pipeline. The probe and mapping-session
+// callbacks are no-ops without a probe or an open session, so they are safe
+// in every mode; trace detection, mapping and offload hook in only outside
+// baseline, where a probed run must stay cycle-identical to an unprobed one.
 func (s *System) hooks() ooo.Hooks {
-	return ooo.Hooks{
-		BeforeFetch: s.beforeFetch,
+	h := ooo.Hooks{
 		OnFetch: func(pc int, seq uint64) {
 			if s.probe != nil {
 				s.probe.Fetch(s.cpu.Cycle(), seq, pc)
@@ -386,24 +369,6 @@ func (s *System) hooks() ooo.Hooks {
 				s.session.NoteFetched(pc, seq)
 				s.checkSession()
 			}
-		},
-		DispatchGate: func(pc int, seq uint64, robEmpty bool) bool {
-			if s.session != nil {
-				return s.session.GateDispatch(pc, seq, robEmpty)
-			}
-			return true
-		},
-		BeginIssue: func() {
-			if s.session != nil {
-				s.session.BeginIssue()
-				s.checkSession()
-			}
-		},
-		SelectOverride: func(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
-			if s.session != nil {
-				return s.session.Select(fu, unit, ready)
-			}
-			return 0
 		},
 		OnIssue: func(e *ooo.RSEntry, fu isa.FUType, unit int) {
 			if s.probe != nil {
@@ -431,9 +396,6 @@ func (s *System) hooks() ooo.Hooks {
 				s.stats.MappedCommits++
 			}
 		},
-		OnCommitBranch: func(pc int, taken bool) {
-			s.noteBranch(pc, taken)
-		},
 		OnSquash: func(seqBoundary uint64) {
 			if s.probe != nil {
 				s.probe.PipelineSquash(s.cpu.Cycle(), seqBoundary)
@@ -444,6 +406,63 @@ func (s *System) hooks() ooo.Hooks {
 			}
 		},
 	}
+	if s.params.Mode == ModeBaseline {
+		return h
+	}
+	h.BeforeFetch = s.beforeFetch
+	h.DispatchGate = func(pc int, seq uint64, robEmpty bool) bool {
+		if s.session != nil {
+			return s.session.GateDispatch(pc, seq, robEmpty)
+		}
+		return true
+	}
+	h.BeginIssue = func() {
+		if s.session != nil {
+			s.session.BeginIssue()
+			s.checkSession()
+		}
+	}
+	h.SelectOverride = func(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
+		if s.session != nil {
+			return s.session.Select(fu, unit, ready)
+		}
+		return 0
+	}
+	h.OnCommitBranch = s.noteBranch
+	return h
+}
+
+// trace returns key's record, creating it on first sight.
+func (s *System) trace(key tcache.TraceKey) *traceState {
+	ts := s.traces[key]
+	if ts == nil {
+		ts = &traceState{key: key}
+		s.traces[key] = ts
+	}
+	return ts
+}
+
+// config returns cfg's invocation state, deriving the pipeline-facing trace
+// description on first use.
+func (s *System) config(cfg *fabric.Config) *cfgState {
+	cs := s.configs[cfg]
+	if cs != nil {
+		return cs
+	}
+	cs = &cfgState{cfg: cfg}
+	for i := range cfg.Insts {
+		mi := &cfg.Insts[i]
+		switch {
+		case mi.Inst.Op.IsCondBranch():
+			cs.predDirs = append(cs.predDirs, mi.ExpectTaken)
+		case mi.Inst.Op.IsLoad():
+			cs.loadPCs = append(cs.loadPCs, mi.PC)
+		case mi.Inst.Op.IsStore():
+			cs.storePCs = append(cs.storePCs, mi.PC)
+		}
+	}
+	s.configs[cfg] = cs
+	return cs
 }
 
 // noteBranch feeds one committed branch outcome to trace detection and
@@ -455,8 +474,10 @@ func (s *System) noteBranch(pc int, taken bool) {
 	}
 	s.branchesSeen++
 	if s.branchesSeen%(1<<17) == 0 {
-		s.disabled = make(map[tcache.TraceKey]bool)
-		s.abortCount = make(map[tcache.TraceKey]int)
+		for _, ts := range s.traces {
+			ts.disabled = false
+			ts.aborts = 0
+		}
 	}
 }
 
@@ -471,8 +492,14 @@ func (s *System) abortSessionForSample() {
 	}
 	s.session.Abort()
 	s.stats.MappingAborted++
+	s.endSession(probe.MapAborted, 0)
+}
+
+// endSession closes the open mapping session with the given probe outcome
+// and hands the issue stage back to the pipeline.
+func (s *System) endSession(outcome int64, traceLen int) {
 	if s.probe != nil {
-		s.probe.MapEnd(s.cpu.Cycle(), s.sessionKey.AnchorPC, probe.MapAborted, 0)
+		s.probe.MapEnd(s.cpu.Cycle(), s.sessionKey.AnchorPC, outcome, traceLen)
 	}
 	s.session = nil
 	s.cpu.SetMapperActive(false)
@@ -483,43 +510,38 @@ func (s *System) checkSession() {
 	if s.session == nil {
 		return
 	}
+	key := s.sessionKey
 	switch s.session.State() {
 	case mapper.SessionDone:
 		cfg := s.session.Config()
-		s.cc.Store(s.sessionKey, cfg)
-		s.mappedKeys[s.sessionKey] = true
+		s.cc.Store(key, cfg)
+		if ts := s.trace(key); !ts.mapped {
+			ts.mapped = true
+			s.mappedTraces++
+		}
 		s.stats.TracesMapped++
-		if s.probe != nil {
-			s.probe.MapEnd(s.cpu.Cycle(), s.sessionKey.AnchorPC, probe.MapDone, len(cfg.Insts))
-		}
-		s.session = nil
-		s.cpu.SetMapperActive(false)
+		s.endSession(probe.MapDone, len(cfg.Insts))
 	case mapper.SessionFailed:
-		if s.probe != nil {
-			outcome := probe.MapFailed
-			if s.session.FailReason() == mapper.FailAborted {
-				outcome = probe.MapAborted
-			}
-			s.probe.MapEnd(s.cpu.Cycle(), s.sessionKey.AnchorPC, outcome, 0)
-		}
+		ts := s.trace(key)
 		if s.session.FailReason() == mapper.FailAborted {
+			s.endSession(probe.MapAborted, 0)
 			s.stats.MappingAborted++
 			// A trace whose mapping keeps aborting (squashes or
 			// fetch divergence) follows an unstable path; back off.
-			s.abortCount[s.sessionKey]++
-			if s.abortCount[s.sessionKey] >= 4 {
-				s.disabled[s.sessionKey] = true
-				s.tc.Unhot(s.sessionKey)
+			ts.aborts++
+			if ts.aborts >= 4 {
+				ts.disabled = true
+				s.tc.Unhot(key)
 				s.stats.TracesDisabled++
 			}
-		} else {
-			// Structurally unmappable: never retry.
-			s.disabled[s.sessionKey] = true
-			s.tc.Unhot(s.sessionKey)
-			s.stats.MappingFailed++
+			return
 		}
-		s.session = nil
-		s.cpu.SetMapperActive(false)
+		// Structurally unmappable: blacklist it until the periodic
+		// clear, after which it must turn hot again to be retried.
+		s.endSession(probe.MapFailed, 0)
+		ts.disabled = true
+		s.tc.Unhot(key)
+		s.stats.MappingFailed++
 	}
 }
 
@@ -539,7 +561,8 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	if !ok {
 		return nil, false
 	}
-	if s.disabled[key] {
+	ts := s.trace(key)
+	if ts.disabled {
 		return nil, false
 	}
 
@@ -548,21 +571,21 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 		if state != cfgcache.StateReady || !s.params.Mode.Offloads() {
 			return nil, false
 		}
-		if s.blockOnce[key] {
-			delete(s.blockOnce, key)
+		if ts.blockNext {
+			ts.blockNext = false
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedBlockOnce)
 			return nil, false
 		}
-		cfg := entry.Cfg
-		if s.inflight[cfg] >= s.params.Geometry.FIFODepth {
+		cs := s.config(entry.Cfg)
+		if cs.inflight >= s.params.Geometry.FIFODepth {
 			// Input FIFOs full: let the host execute this occurrence
 			// rather than stall fetch behind a long drain.
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedFIFO)
 			return nil, false
 		}
-		return s.inject(key, cfg), false
+		return s.inject(ts, cs), false
 	}
 
 	if !s.tc.IsHot(key) {
@@ -579,15 +602,18 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 }
 
 // inject builds the fat atomic trace invocation for the pipeline.
-func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInject {
-	inst, penalty := s.fabs.Acquire(key, cfg)
+func (s *System) inject(ts *traceState, cs *cfgState) *ooo.TraceInject {
+	cfg := cs.cfg
+	inst, penalty := s.fabs.Acquire(cfg)
 	if penalty > 0 {
-		s.pendingPenalty[cfg] = penalty
+		cs.penalty = penalty
 	}
-	s.fabs.NoteInvocation(cfg)
-	s.inflight[cfg]++
+	cs.inflight++
 	s.inflightTotal++
-	s.offloadedKeys[key] = true
+	if !ts.offloaded {
+		ts.offloaded = true
+		s.offloadedTraces++
+	}
 	s.stats.Offloads++
 	// The running offload count doubles as the invocation id in probe
 	// events, correlating inject/evaluate/commit/squash across tracks.
@@ -596,34 +622,21 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 		s.probe.TraceInject(s.cpu.Cycle(), invocID, cfg.StartPC, cfg.ExitPC, len(cfg.Insts))
 		s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
 	}
-	h := s.health[key]
-	h.offloads++
-	s.health[key] = h
 
-	// The trace's recorded branch directions, shifted into the global
-	// history by fetch at injection.
-	var dirs []bool
-	for i := range cfg.Insts {
-		if cfg.Insts[i].Inst.Op.IsCondBranch() {
-			dirs = append(dirs, cfg.Insts[i].ExpectTaken)
-		}
-	}
-
-	loadPCs, storePCs := memPCs(cfg)
 	tr := &ooo.TraceInject{
 		StartPC:      cfg.StartPC,
 		ExitPC:       cfg.ExitPC,
 		LiveIns:      cfg.LiveIns,
 		LiveOuts:     cfg.LiveOuts,
 		NumInsts:     len(cfg.Insts),
-		PredDirs:     dirs,
-		LoadPCs:      loadPCs,
-		StorePCs:     storePCs,
+		PredDirs:     cs.predDirs,
+		LoadPCs:      cs.loadPCs,
+		StorePCs:     cs.storePCs,
 		Conservative: s.params.Mode == ModeAccelNoSpec,
 	}
 	tr.Evaluate = func(in ooo.TraceInput) ooo.TraceResult {
-		delay := s.pendingPenalty[cfg]
-		delete(s.pendingPenalty, cfg)
+		delay := cs.penalty
+		cs.penalty = 0
 		if s.probe != nil {
 			s.probe.TraceEvalStart(in.Cycle, invocID, cfg.StartPC, int64(delay))
 		}
@@ -638,13 +651,13 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 			Cfg:        cfg,
 			LiveIns:    in.LiveIns,
 			Arrivals:   in.Arrivals,
-			PrevStarts: s.lastStarts[cfg],
+			PrevStarts: cs.prevStarts,
 			Now:        int64(in.Cycle),
 			OrderAfter: s.lastStoreDone,
 		}, env)
 		res.ConfigWait = delay
 		if res.ExitMatches && !res.MemViolation {
-			s.lastStarts[cfg] = res.StartTimes
+			cs.prevStarts = res.StartTimes
 			if res.LastStoreDone > s.lastStoreDone {
 				s.lastStoreDone = res.LastStoreDone
 			}
@@ -652,12 +665,12 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 		s.stats.InvocLatencySum += uint64(res.Latency)
 		s.stats.InvocCount++
 		ii := int64(-1)
-		if last, ok := s.lastEval[cfg]; ok && in.Cycle > last {
-			s.stats.InvocIISum += in.Cycle - last
+		if cs.evaluated && in.Cycle > cs.prevEval {
+			s.stats.InvocIISum += in.Cycle - cs.prevEval
 			s.stats.InvocIICount++
-			ii = int64(in.Cycle - last)
+			ii = int64(in.Cycle - cs.prevEval)
 		}
-		s.lastEval[cfg] = in.Cycle
+		cs.prevEval, cs.evaluated = in.Cycle, true
 		if s.probe != nil {
 			end := in.Cycle + uint64(res.Latency)
 			s.probe.TraceEvalEnd(end, invocID, cfg.StartPC, int64(res.Latency), int64(res.Ops), ii)
@@ -670,7 +683,7 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 	free := func() {
 		if !fifoFreed {
 			fifoFreed = true
-			s.inflight[cfg]--
+			cs.inflight--
 			s.inflightTotal--
 			if s.probe != nil {
 				s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
@@ -684,9 +697,7 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 		if s.probe != nil {
 			s.probe.TraceCommit(s.cpu.Cycle(), invocID, cfg.StartPC, int64(res.Ops))
 		}
-		h := s.health[key]
-		h.commits++
-		s.health[key] = h
+		ts.commits++
 		for _, b := range res.Branches {
 			s.noteBranch(b.PC, b.Taken)
 		}
@@ -704,11 +715,11 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 		switch kind {
 		case ooo.SquashBranchExit:
 			s.stats.BranchExits++
-			s.blockOnce[key] = true
-			s.noteExit(key)
+			ts.blockNext = true
+			s.noteExit(ts)
 		case ooo.SquashMemOrder:
 			s.stats.MemOrderKills++
-			s.blockOnce[key] = true
+			ts.blockNext = true
 		case ooo.SquashExternal:
 			s.stats.ExternalKills++
 		}
@@ -720,16 +731,14 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 // trace whose invocations chronically leave the recorded path wastes fabric
 // work and squash bandwidth, so its configuration is dropped and its hot
 // flag cleared until detection re-trains it.
-func (s *System) noteExit(key tcache.TraceKey) {
-	h := s.health[key]
-	h.exits++
-	s.health[key] = h
-	evaluated := h.exits + h.commits
-	if evaluated >= 8 && h.exits*4 >= evaluated {
-		s.cc.Invalidate(key)
-		s.tc.Unhot(key)
-		s.disabled[key] = true
-		delete(s.health, key)
+func (s *System) noteExit(ts *traceState) {
+	ts.exits++
+	evaluated := ts.exits + ts.commits
+	if evaluated >= 8 && ts.exits*4 >= evaluated {
+		s.cc.Invalidate(ts.key)
+		s.tc.Unhot(ts.key)
+		ts.disabled = true
+		ts.commits, ts.exits = 0, 0
 		s.stats.TracesDisabled++
 	}
 }
@@ -809,21 +818,6 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 	return trace, key, exitPC, true
 }
 
-// memPCs extracts the simplified memory-instruction lists of a
-// configuration (§3.2) for the store-sets unit.
-func memPCs(cfg *fabric.Config) (loads, stores []int) {
-	for i := range cfg.Insts {
-		mi := &cfg.Insts[i]
-		switch {
-		case mi.Inst.Op.IsLoad():
-			loads = append(loads, mi.PC)
-		case mi.Inst.Op.IsStore():
-			stores = append(stores, mi.PC)
-		}
-	}
-	return loads, stores
-}
-
 func nextPC(pc int, in isa.Inst, taken bool) int {
 	if taken {
 		return in.Target
@@ -844,8 +838,8 @@ func (s *System) Verify() error {
 	// randomized, so an early return (and a %p-formatted pointer) would
 	// make the error message differ across runs.
 	leaked := 0
-	for _, n := range s.inflight {
-		if n != 0 {
+	for _, cs := range s.configs {
+		if cs.inflight != 0 {
 			leaked++
 		}
 	}

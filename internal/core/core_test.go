@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dynaspam/internal/interp"
@@ -305,6 +306,29 @@ func TestWalkTrace(t *testing.T) {
 	// Non-branch anchors do not form traces.
 	if _, _, _, ok := sys.walkTrace(4); ok {
 		t.Error("walkTrace accepted non-branch anchor")
+	}
+}
+
+// TestVerifyReportsBrokenAccounting: after a clean accel run, Verify must
+// report a configuration left with an in-flight invocation and an offload
+// that neither committed nor squashed.
+func TestVerifyReportsBrokenAccounting(t *testing.T) {
+	sys := runMode(t, hotLoop(500), 500, ModeAccel)
+	if len(sys.configs) == 0 {
+		t.Fatal("accel run offloaded no configuration")
+	}
+	for _, cs := range sys.configs {
+		cs.inflight++
+	}
+	if err := sys.Verify(); err == nil || !strings.Contains(err.Error(), "in-flight") {
+		t.Errorf("leaked in-flight invocation: Verify = %v", err)
+	}
+	for _, cs := range sys.configs {
+		cs.inflight--
+	}
+	sys.stats.Offloads++
+	if err := sys.Verify(); err == nil || !strings.Contains(err.Error(), "offload accounting") {
+		t.Errorf("unaccounted offload: Verify = %v", err)
 	}
 }
 

@@ -126,10 +126,9 @@ type startPair struct {
 type Fabric struct {
 	Geom Geometry
 
-	cfg       *Config
-	reconfigs uint64
-	stats     Stats
-	probe     *probe.Probe
+	cfg   *Config
+	stats Stats
+	probe *probe.Probe
 
 	scratch evalScratch
 	recPool []recordSet
@@ -142,25 +141,15 @@ func New(g Geometry) *Fabric {
 	return &Fabric{Geom: g}
 }
 
-// Configure loads cfg, returning the reconfiguration penalty in cycles
-// (zero when cfg is already loaded).
-func (f *Fabric) Configure(cfg *Config, penalty int) int {
-	if f.cfg == cfg {
-		return 0
-	}
-	f.cfg = cfg
-	f.reconfigs++
-	return penalty
-}
+// Configure loads cfg. Charging the reconfiguration penalty is the caller's
+// job (cfgcache.Fabrics charges it to the next invocation).
+func (f *Fabric) Configure(cfg *Config) { f.cfg = cfg }
 
 // Configured returns the loaded configuration (nil if none).
 func (f *Fabric) Configured() *Config { return f.cfg }
 
 // SetProbe attaches the observability probe (nil disables; the default).
 func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// Reconfigurations returns how many times the fabric was reprogrammed.
-func (f *Fabric) Reconfigurations() uint64 { return f.reconfigs }
 
 // Stats returns a copy of the accumulated counters.
 func (f *Fabric) Stats() Stats { return f.stats }

@@ -47,7 +47,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 	g := DefaultGeometry()
 	cfg := arithChain(g, 5)
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	env := evalEnv(true)
 	a := f.Evaluate([]uint64{7}, env)
 	b := f.Evaluate([]uint64{7}, env)

@@ -90,7 +90,7 @@ func TestEvaluateChain(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	res := f.Evaluate([]uint64{5, 7}, env(t))
 	if !res.ExitMatches || res.MemViolation {
 		t.Fatalf("unexpected squash: %+v", res)
@@ -133,7 +133,7 @@ func TestPassRegisterHopLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	res := f.Evaluate([]uint64{0}, env(t))
 	// li at 1, inst0 done 2, hops +2 → inst1 start 4, done 5, +1 = 6.
 	if res.Latency != 6 {
@@ -161,7 +161,7 @@ func TestBranchOnPathAndOffPath(t *testing.T) {
 		StripesUsed:     1,
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	// On-path: 5 < 3 is false, matches ExpectTaken=false.
 	res := f.Evaluate([]uint64{5, 3}, env(t))
 	if !res.ExitMatches || res.ActualExitPC != 60 {
@@ -211,7 +211,7 @@ func TestIntraTraceStoreForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	e := env(t)
 	e.Speculative = false // conservative: load ordered after store
 	res := f.Evaluate([]uint64{512, 42}, e)
@@ -233,7 +233,7 @@ func TestSpeculativeViolationAndRetrain(t *testing.T) {
 	g := DefaultGeometry()
 	cfg := memConfig(g)
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	e := env(t)
 
 	// Make the store slow: give the store's value a producer chain?
@@ -276,7 +276,7 @@ func TestExternalLoadReadsEnvMemory(t *testing.T) {
 		StripesUsed:     1,
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	e := env(t)
 	e.ReadMem = func(addr uint64) uint64 {
 		if addr != 108 {
@@ -316,7 +316,7 @@ func TestFPDataflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	res := f.Evaluate([]uint64{math.Float64bits(1.5), math.Float64bits(2.5)}, env(t))
 	if got := math.Float64frombits(res.LiveOuts[0]); got != 16.0 {
 		t.Errorf("fp result = %v, want 16", got)
@@ -327,20 +327,16 @@ func TestConfigureReconfiguration(t *testing.T) {
 	g := DefaultGeometry()
 	c1, c2 := chainConfig(g), memConfig(g)
 	f := New(g)
-	if pen := f.Configure(c1, 32); pen != 32 {
-		t.Errorf("first Configure penalty = %d, want 32", pen)
+	if f.Configured() != nil {
+		t.Error("new fabric has a configuration loaded")
 	}
-	if pen := f.Configure(c1, 32); pen != 0 {
-		t.Errorf("same-config penalty = %d, want 0", pen)
-	}
-	if pen := f.Configure(c2, 32); pen != 32 {
-		t.Errorf("reconfigure penalty = %d, want 32", pen)
-	}
-	if f.Reconfigurations() != 2 {
-		t.Errorf("Reconfigurations = %d, want 2", f.Reconfigurations())
-	}
-	if f.Configured() != c2 {
+	f.Configure(c1)
+	if f.Configured() != c1 {
 		t.Error("Configured returned wrong config")
+	}
+	f.Configure(c2)
+	if f.Configured() != c2 {
+		t.Error("Configured returned wrong config after reconfiguration")
 	}
 }
 
@@ -393,7 +389,7 @@ func TestPowerGatingStats(t *testing.T) {
 	g := DefaultGeometry()
 	cfg := chainConfig(g)
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	f.Evaluate([]uint64{1, 2}, env(t))
 	s := f.Stats()
 	if s.ActivePECycles == 0 || s.IdlePECycles == 0 {
@@ -419,7 +415,7 @@ func TestStartupDelayShiftsEverything(t *testing.T) {
 	g := DefaultGeometry()
 	cfg := chainConfig(g)
 	f := New(g)
-	f.Configure(cfg, 0)
+	f.Configure(cfg)
 	e := env(t)
 	base := f.Evaluate([]uint64{1, 2}, e).Latency
 	e.StartupDelay = 10

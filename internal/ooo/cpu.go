@@ -492,26 +492,8 @@ func (c *CPU) Run() error {
 
 // RunCtx is Run with cooperative cancellation: the simulation polls ctx
 // every few thousand cycles and aborts with ctx's error once it is done.
-// The poll granularity (8192 cycles, well under a millisecond of host time)
-// keeps the check off the per-cycle hot path while letting a parallel sweep
-// cancel in-flight simulations promptly.
 func (c *CPU) RunCtx(ctx context.Context) error {
-	budget := c.cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	for !c.stats.HaltSeen {
-		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted at pc %d (deadlock?)", budget, c.pc)
-		}
-		if c.cycle&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: simulation cancelled at cycle %d: %w", c.cycle, err)
-			}
-		}
-		c.step()
-	}
-	return nil
+	return c.run(ctx, math.MaxUint64, false)
 }
 
 // RunCommitsCtx steps the pipeline until at least n more instructions have
@@ -522,23 +504,7 @@ func (c *CPU) RunCtx(ctx context.Context) error {
 // is deterministic. The sampled-simulation driver in internal/core uses it
 // to delimit warmup and measurement windows.
 func (c *CPU) RunCommitsCtx(ctx context.Context, n uint64) error {
-	budget := c.cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	target := c.stats.Committed + n
-	for !c.stats.HaltSeen && c.stats.Committed < target {
-		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted at pc %d (deadlock?)", budget, c.pc)
-		}
-		if c.cycle&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: simulation cancelled at cycle %d: %w", c.cycle, err)
-			}
-		}
-		c.step()
-	}
-	return nil
+	return c.run(ctx, c.stats.Committed+n, false)
 }
 
 // DrainCtx suppresses fetch and steps until every in-flight instruction has
@@ -548,22 +514,33 @@ func (c *CPU) RunCommitsCtx(ctx context.Context, n uint64) error {
 // hands it to the functional interpreter for fast-forwarding. Draining costs
 // simulated cycles like any pipeline flush would.
 func (c *CPU) DrainCtx(ctx context.Context) error {
+	c.fetchSuppressed = true
+	defer func() { c.fetchSuppressed = false }()
+	return c.run(ctx, math.MaxUint64, true)
+}
+
+// run steps the pipeline until the halt commits, Stats.Committed reaches
+// target, or — with drain — the ROB and front end are empty. Exhausting the
+// cycle budget is an error: it indicates a deadlock bug rather than a
+// program property. ctx is polled every 8192 cycles (well under a
+// millisecond of host time), which keeps the check off the per-cycle hot
+// path while letting a parallel sweep cancel in-flight simulations
+// promptly.
+func (c *CPU) run(ctx context.Context, target uint64, drain bool) error {
 	budget := c.cfg.MaxCycles
 	if budget == 0 {
 		budget = 2_000_000_000
 	}
-	c.fetchSuppressed = true
-	defer func() { c.fetchSuppressed = false }()
-	for c.robLen() > 0 || c.feLen() > 0 {
-		if c.stats.HaltSeen {
+	for !c.stats.HaltSeen && c.stats.Committed < target {
+		if drain && c.robLen() == 0 && c.feLen() == 0 {
 			return nil
 		}
 		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted draining at pc %d (deadlock?)", budget, c.pc)
+			return fmt.Errorf("ooo: cycle budget %d exhausted at pc %d (deadlock?)", budget, c.pc)
 		}
 		if c.cycle&8191 == 0 {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: drain cancelled at cycle %d: %w", c.cycle, err)
+				return fmt.Errorf("ooo: simulation cancelled at cycle %d: %w", c.cycle, err)
 			}
 		}
 		c.step()

@@ -1,7 +1,11 @@
 package ooo
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dynaspam/internal/interp"
@@ -349,16 +353,59 @@ func TestConfigValidation(t *testing.T) {
 	New(bad, program.NewBuilder("x").Halt().MustBuild(), mem.New(), nil)
 }
 
+// TestCycleBudgetError: every run loop reports an exhausted cycle budget and
+// a cancelled context as errors, before stepping, rather than spinning or
+// returning nil.
 func TestCycleBudgetError(t *testing.T) {
 	p := program.NewBuilder("inf").
 		Label("head").
 		Jmp("head").
 		Halt().
 		MustBuild()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	loops := []struct {
+		name string
+		run  func(c *CPU, ctx context.Context) error
+	}{
+		{"Run", func(c *CPU, ctx context.Context) error { return c.RunCtx(ctx) }},
+		{"RunCommitsCtx", func(c *CPU, ctx context.Context) error { return c.RunCommitsCtx(ctx, math.MaxUint32) }},
+		{"DrainCtx", func(c *CPU, ctx context.Context) error { return c.DrainCtx(ctx) }},
+	}
+	for _, l := range loops {
+		for _, budgetOut := range []bool{true, false} {
+			cpu := New(DefaultConfig(), p, mem.New(), nil)
+			// Stop at a ctx-poll cycle with the loop in flight, so the
+			// drain has work left and every loop reaches its checks.
+			for cpu.cycle < 8192 {
+				cpu.step()
+			}
+			if cpu.robLen()+cpu.feLen() == 0 {
+				t.Fatal("pipeline empty mid-loop")
+			}
+			ctx := cancelled
+			if budgetOut {
+				cpu.cfg.MaxCycles = cpu.cycle
+				ctx = context.Background()
+			}
+			err := l.run(cpu, ctx)
+			switch {
+			case err == nil:
+				t.Errorf("%s (budget exhausted %v): no error", l.name, budgetOut)
+			case budgetOut && !strings.Contains(err.Error(), "cycle budget"):
+				t.Errorf("%s: budget error = %v", l.name, err)
+			case !budgetOut && !errors.Is(err, context.Canceled):
+				t.Errorf("%s: cancelled error = %v, want context.Canceled", l.name, err)
+			}
+			if cpu.cycle != 8192 {
+				t.Errorf("%s (budget exhausted %v): stepped to cycle %d", l.name, budgetOut, cpu.cycle)
+			}
+		}
+	}
+	// Run without a context hits the budget organically.
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 10_000
-	cpu := New(cfg, p, mem.New(), nil)
-	if err := cpu.Run(); err == nil {
+	if err := New(cfg, p, mem.New(), nil).Run(); err == nil {
 		t.Error("Run did not report budget exhaustion on infinite loop")
 	}
 }

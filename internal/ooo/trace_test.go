@@ -34,21 +34,21 @@ func sumLoop(n int64) *program.Program {
 // re-inject forever).
 func injectAtBackedge(pc int, build func() *TraceInject, maxInjects int) (Hooks, *int) {
 	count := new(int)
-	blockOnce := false
+	blockNext := false
 	return Hooks{
 		BeforeFetch: func(fetchPC int) (*TraceInject, bool) {
 			if fetchPC != pc || *count >= maxInjects {
 				return nil, false
 			}
-			if blockOnce {
-				blockOnce = false
+			if blockNext {
+				blockNext = false
 				return nil, false
 			}
 			*count++
 			tr := build()
 			prevSquash := tr.OnSquash
 			tr.OnSquash = func(kind SquashKind) {
-				blockOnce = true
+				blockNext = true
 				if prevSquash != nil {
 					prevSquash(kind)
 				}
