@@ -50,17 +50,19 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Re-record the committed benchmark baseline (BENCH_4.json). Run this only
-# after an intentional perf change, and review the diff like code.
+# after an intentional perf change, and review the diff like code. Both this
+# and bench-compare run every benchmark five times; benchdiff records and
+# compares the median ns/op and the maximum allocs/op.
 bench-baseline:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' . | tee "$$out" && \
+	$(GO) test -bench='$(BENCH_GATE)' -benchmem -count 5 -run='^$$' . | tee "$$out" && \
 	$(GO) run ./cmd/benchdiff -update "$$out"
 
 # Benchmark regression gate: compare a fresh run of the gated benchmarks
 # against BENCH_4.json; fails on >10% ns/op growth or any allocs/op growth.
 bench-compare:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' . | tee "$$out" && \
+	$(GO) test -bench='$(BENCH_GATE)' -benchmem -count 5 -run='^$$' . | tee "$$out" && \
 	$(GO) run ./cmd/benchdiff "$$out"
 
 figures:

@@ -225,6 +225,9 @@ func BenchmarkBaselinePipeline(b *testing.B) {
 	params := core.DefaultParams()
 	params.Mode = core.ModeBaseline
 	cycles := uint64(0)
+	// Building the workload is setup: timed, its allocations would make
+	// allocs/op depend on b.N, and so on the machine's speed.
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Run(w, params)
 		if err != nil {
@@ -430,6 +433,7 @@ func BenchmarkFastForwardPipeline(b *testing.B) {
 	params.Mode = core.ModeAccel
 	params.Sim = core.SimPolicy{Mode: core.SimFastForward}
 	insts := uint64(0)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Run(w, params)
 		if err != nil {
@@ -456,6 +460,7 @@ func BenchmarkSampledPipeline(b *testing.B) {
 	params.Sim = core.SimPolicy{Mode: core.SimSampled, Warmup: 500, DetailWindow: 2000, FFInterval: 10_000}
 	insts := uint64(0)
 	windows := uint64(0)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Run(w, params)
 		if err != nil {

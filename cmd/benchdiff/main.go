@@ -5,14 +5,19 @@
 // tolerance (10% by default), or allocs/op by any amount — steady-state
 // allocation counts are exact, so they get no slack.
 //
+// Run the benchmarks with -count N: repeated result lines of one benchmark
+// are folded to the median ns/op, which one noisy run cannot move, and the
+// maximum allocs/op, so a single run that allocates more still fails. The
+// report prints the ns/op spread of the repeats beside the median.
+//
 // Record a new baseline (after an intentional perf change, with the numbers
 // reviewed):
 //
-//	go test -run '^$' -bench ... -benchmem . | go run ./cmd/benchdiff -update
+//	go test -run '^$' -bench ... -benchmem -count 5 . | go run ./cmd/benchdiff -update
 //
 // Gate against the committed baseline (CI's bench-gate step):
 //
-//	go test -run '^$' -bench ... -benchmem . | go run ./cmd/benchdiff
+//	go test -run '^$' -bench ... -benchmem -count 5 . | go run ./cmd/benchdiff
 //
 // Benchmarks present in the run but absent from the baseline are reported
 // as new and do not fail the gate; refresh the baseline to start tracking
@@ -80,7 +85,16 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*basePath, got); err != nil {
+		folded := make(map[string]result, len(got))
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			folded[name] = fold(got[name])
+		}
+		if err := writeBaseline(*basePath, folded); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchdiff: wrote %d benchmark(s) to %s\n", len(got), *basePath)
@@ -103,16 +117,17 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// parseBench extracts ns/op and allocs/op per benchmark from `go test
-// -bench` text output. Other metrics (B/op, custom ReportMetric units) are
-// ignored. The `-N` GOMAXPROCS suffix is stripped so names are stable
-// across machines.
-func parseBench(r io.Reader) (map[string]result, error) {
+// parseBench extracts ns/op and allocs/op from every result line of `go test
+// -bench` text output, grouped by benchmark in input order (one entry per
+// -count repeat). Other metrics (B/op, custom ReportMetric units) are
+// ignored. The `-N` GOMAXPROCS suffix is stripped so names are stable across
+// machines.
+func parseBench(r io.Reader) (map[string][]result, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]result)
+	out := make(map[string][]result)
 	for _, line := range strings.Split(string(data), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -141,10 +156,44 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			}
 		}
 		if seenNs {
-			out[name] = res
+			out[name] = append(out[name], res)
 		}
 	}
 	return out, nil
+}
+
+// fold reduces the repeats of one benchmark to the numbers the gate compares
+// and records: the median ns/op and the maximum allocs/op.
+func fold(runs []result) result {
+	ns := sortedNs(runs)
+	out := result{NsPerOp: ns[len(ns)/2]}
+	if len(ns)%2 == 0 {
+		out.NsPerOp = (ns[len(ns)/2-1] + ns[len(ns)/2]) / 2
+	}
+	for _, r := range runs {
+		out.AllocsPerOp = max(out.AllocsPerOp, r.AllocsPerOp)
+	}
+	return out
+}
+
+// sortedNs returns the runs' ns/op values in ascending order.
+func sortedNs(runs []result) []float64 {
+	ns := make([]float64, len(runs))
+	for i, r := range runs {
+		ns[i] = r.NsPerOp
+	}
+	sort.Float64s(ns)
+	return ns
+}
+
+// spread describes the ns/op range of repeated runs for the report; empty
+// for a single run.
+func spread(runs []result) string {
+	if len(runs) < 2 {
+		return ""
+	}
+	ns := sortedNs(runs)
+	return fmt.Sprintf(" [%d runs, ns/op %.1f..%.1f]", len(ns), ns[0], ns[len(ns)-1])
 }
 
 // stripProcs removes the trailing -GOMAXPROCS token go test appends to
@@ -187,10 +236,10 @@ func writeBaseline(path string, got map[string]result) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// compare prints a per-benchmark verdict and returns the number of failing
-// benchmarks. Baselines are keyed maps; names are sorted so the report is
-// deterministic.
-func compare(w io.Writer, base, got map[string]result, tolerance float64) int {
+// compare prints a per-benchmark verdict on the folded runs and returns the
+// number of failing benchmarks. Baselines are keyed maps; names are sorted so
+// the report is deterministic.
+func compare(w io.Writer, base map[string]result, got map[string][]result, tolerance float64) int {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -199,12 +248,13 @@ func compare(w io.Writer, base, got map[string]result, tolerance float64) int {
 	failures := 0
 	for _, name := range names {
 		want := base[name]
-		cur, ok := got[name]
+		runs, ok := got[name]
 		if !ok {
 			fmt.Fprintf(w, "MISSING  %-40s recorded in baseline but absent from this run\n", name)
 			failures++
 			continue
 		}
+		cur := fold(runs)
 		nsLimit := want.NsPerOp * (1 + tolerance)
 		switch {
 		case cur.AllocsPerOp > want.AllocsPerOp:
@@ -212,13 +262,13 @@ func compare(w io.Writer, base, got map[string]result, tolerance float64) int {
 				name, want.AllocsPerOp, cur.AllocsPerOp)
 			failures++
 		case cur.NsPerOp > nsLimit:
-			fmt.Fprintf(w, "FAIL     %-40s ns/op %.1f -> %.1f (%+.1f%%, tolerance %.0f%%)\n",
-				name, want.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/want.NsPerOp-1), 100*tolerance)
+			fmt.Fprintf(w, "FAIL     %-40s ns/op %.1f -> %.1f (%+.1f%%, tolerance %.0f%%)%s\n",
+				name, want.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/want.NsPerOp-1), 100*tolerance, spread(runs))
 			failures++
 		default:
-			fmt.Fprintf(w, "ok       %-40s ns/op %.1f -> %.1f (%+.1f%%), allocs/op %d -> %d\n",
+			fmt.Fprintf(w, "ok       %-40s ns/op %.1f -> %.1f (%+.1f%%), allocs/op %d -> %d%s\n",
 				name, want.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/want.NsPerOp-1),
-				want.AllocsPerOp, cur.AllocsPerOp)
+				want.AllocsPerOp, cur.AllocsPerOp, spread(runs))
 		}
 	}
 	newNames := make([]string, 0)
@@ -229,8 +279,9 @@ func compare(w io.Writer, base, got map[string]result, tolerance float64) int {
 	}
 	sort.Strings(newNames)
 	for _, name := range newNames {
+		cur := fold(got[name])
 		fmt.Fprintf(w, "NEW      %-40s ns/op %.1f, allocs/op %d (not in baseline; -update to track)\n",
-			name, got[name].NsPerOp, got[name].AllocsPerOp)
+			name, cur.NsPerOp, cur.AllocsPerOp)
 	}
 	return failures
 }

@@ -557,7 +557,9 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	if !in.Op.IsBranch() {
 		return nil, false
 	}
-	trace, key, exitPC, ok := s.walkTrace(pc)
+	// Key first: the lookups below need only the TraceKey, so the walk
+	// builds no body unless a mapping session opens.
+	_, key, _, ok := s.walkTrace(pc, false)
 	if !ok {
 		return nil, false
 	}
@@ -593,6 +595,9 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	}
 	// Hot but unmapped: begin a mapping session; the trace instructions
 	// flow through the pipeline normally while the issue unit maps them.
+	// The walk is repeated with the body: the predictor is unchanged since
+	// the key walk, so it follows the same path.
+	trace, _, exitPC, _ := s.walkTrace(pc, true)
 	s.session = mapper.NewSession(trace, s.params.Geometry, pc, exitPC)
 	s.cpu.SetMapperActive(true)
 	s.sessionKey = key
@@ -744,17 +749,22 @@ func (s *System) noteExit(ts *traceState) {
 }
 
 // walkTrace follows the predicted path from the anchor branch at pc,
-// predicting up to three branch directions to form the trace key, and
-// collecting the trace body up to the length cap, the fourth branch, or a
-// halt.
-func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKey, exitPC int, ok bool) {
+// predicting up to three branch directions to form the trace key. With body
+// set it also collects the trace body, up to the length cap, the fourth
+// branch, or a halt, into a fresh slice the caller owns; without it the walk
+// stops at the third branch, returns a nil body and allocates nothing. The
+// branch predictor is left as found.
+func (s *System) walkTrace(pc int, body bool) (trace []mapper.TraceInst, key tcache.TraceKey, exitPC int, ok bool) {
 	if !s.prog.Valid(pc) || !s.prog.At(pc).Op.IsBranch() {
 		return nil, tcache.TraceKey{}, 0, false
+	}
+	if body {
+		trace = make([]mapper.TraceInst, 0, s.params.TraceLen)
 	}
 	bp := s.cpu.Branch()
 	hist := bp.History()
 	savedHist := hist
-	var dirs []bool
+	var dirs uint8
 	cur := pc
 	branches := 0
 	for steps := 0; steps < 4*s.params.TraceLen; steps++ {
@@ -765,10 +775,10 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 		if in.Op == isa.OpHalt {
 			break
 		}
-		bodyFull := len(trace) >= s.params.TraceLen
+		collect := body && len(trace) < s.params.TraceLen
 		if in.Op.IsBranch() {
 			if branches == tcache.HistoryLen {
-				break // fourth branch ends both key walk and body
+				break // fourth branch ends the body
 			}
 			var taken bool
 			if in.Op == isa.OpJmp {
@@ -778,24 +788,36 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 				taken = bp.PredictDirection(uint64(cur))
 				hist = hist<<1 | boolBit(taken)
 			}
-			dirs = append(dirs, taken)
-			if !bodyFull {
+			if taken {
+				dirs |= 1 << uint(branches)
+			}
+			if collect {
 				trace = append(trace, mapper.TraceInst{PC: cur, Inst: in, ExpectTaken: taken})
 				exitPC = nextPC(cur, in, taken)
 			}
 			branches++
+			if branches == tcache.HistoryLen && !body {
+				break // the key is complete
+			}
 			cur = nextPC(cur, in, taken)
 			continue
 		}
-		if !bodyFull {
+		if collect {
 			trace = append(trace, mapper.TraceInst{PC: cur, Inst: in})
 			exitPC = cur + 1
 		}
 		cur++
 	}
 	bp.Restore(savedHist)
-	if branches < tcache.HistoryLen || len(trace) < 2 {
+	// A body also needs at least two instructions. That holds whenever the
+	// key is complete: every walked instruction joins the body until the
+	// cap, three were walked, and New enforces TraceLen >= 2.
+	if branches < tcache.HistoryLen {
 		return nil, tcache.TraceKey{}, 0, false
+	}
+	key = tcache.TraceKey{AnchorPC: pc, Dirs: dirs}
+	if !body {
+		return nil, key, 0, true
 	}
 	// Alignment: a trace that the length cap cut mid-block exits into the
 	// middle of a basic block, forcing the block's remainder onto the
@@ -814,7 +836,6 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 			}
 		}
 	}
-	key = tcache.TraceKey{AnchorPC: pc, Dirs: tcache.DirsOf(dirs)}
 	return trace, key, exitPC, true
 }
 

@@ -289,9 +289,14 @@ func TestWalkTrace(t *testing.T) {
 		bp.Update(11, h, true, 4, false)
 	}
 	// PC 11 is the backedge blt.
-	trace, key, exitPC, ok := sys.walkTrace(11)
+	trace, key, exitPC, ok := sys.walkTrace(11, true)
 	if !ok {
 		t.Fatal("walkTrace failed on backedge")
+	}
+	// The key-only walk fetch runs on every branch yields the same key and
+	// no body.
+	if body, k, _, ok := sys.walkTrace(11, false); !ok || k != key || body != nil {
+		t.Errorf("key-only walk = (%v, %+v, %v), want (nil, %+v, true)", body, k, ok, key)
 	}
 	if key.AnchorPC != 11 {
 		t.Errorf("anchor = %d, want 11", key.AnchorPC)
@@ -304,7 +309,7 @@ func TestWalkTrace(t *testing.T) {
 	}
 	_ = exitPC
 	// Non-branch anchors do not form traces.
-	if _, _, _, ok := sys.walkTrace(4); ok {
+	if _, _, _, ok := sys.walkTrace(4, true); ok {
 		t.Error("walkTrace accepted non-branch anchor")
 	}
 }

@@ -213,7 +213,7 @@ func TestWalkTraceTrimsToBranchBoundary(t *testing.T) {
 		if !w.Prog.At(pc).Op.IsBranch() {
 			continue
 		}
-		trace, _, exitPC, ok := sys.walkTrace(pc)
+		trace, _, exitPC, ok := sys.walkTrace(pc, true)
 		if !ok {
 			continue
 		}

@@ -18,6 +18,9 @@ import (
 type physReg struct {
 	value uint64
 	ready bool
+	// deps heads the register's list of waiting RS entries in the CPU's
+	// depNodes pool; 0 when there are none (ready.go).
+	deps int32
 	// readyAt is the cycle the value became available (feeds the fabric's
 	// per-live-in arrival model).
 	readyAt uint64
@@ -74,6 +77,10 @@ type ROBEntry struct {
 	// recycled through the CPU's pool only when it reaches zero, so a late
 	// event can never observe a reused entry.
 	pending int32
+	// waiting counts the entry's source registers (a trace's live-ins)
+	// that were not ready at rename and have not been written since; the
+	// entry joins the ready queue when it reaches zero (ready.go).
+	waiting int32
 }
 
 // IsTrace reports whether the entry is a fabric trace invocation.
@@ -164,13 +171,24 @@ type CPU struct {
 	freeList     []int
 
 	// Backend structures. The ROB is a head-indexed deque like the front
-	// end (robLive/robLen/robPush/robPopFront); rs, loads and strs keep
-	// their program/dispatch order, with removals compacting in place.
-	robBuf  []*ROBEntry // in flight, oldest first, starting at robHead
-	robHead int
-	rs      []*ROBEntry // dispatched, waiting to issue
-	loads   []*ROBEntry // load queue (program order)
-	strs    []*ROBEntry // store queue (program order)
+	// end (robLive/robLen/robPush/robPopFront); loads and strs keep their
+	// program order, with removals compacting in place. The reservation
+	// stations are the ROB entries not yet issued: rsLen counts them, and
+	// readyQ holds those whose sources are all ready, in dispatch order
+	// (ready.go). robTraces counts trace invocations in the ROB, so the
+	// memory-ordering checks skip their ROB walks when there are none.
+	robBuf    []*ROBEntry // in flight, oldest first, starting at robHead
+	robHead   int
+	rsLen     int
+	readyQ    []*ROBEntry
+	robTraces int
+	loads     []*ROBEntry // load queue (program order)
+	strs      []*ROBEntry // store queue (program order)
+
+	// Wakeup list storage (ready.go): the nodes of every register's
+	// dependent list, and the head of the list of recycled nodes.
+	depNodes []depNode
+	depFree  int32
 
 	// Completion events, bucketed by cycle (see wheel.go).
 	wheel eventWheel
@@ -245,10 +263,19 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 		// never grows a backing array after warm-up.
 		feBuf:    make([]fetchSlot, 0, cfg.ROBSize+cfg.FetchWidth),
 		robBuf:   make([]*ROBEntry, 0, cfg.ROBSize),
-		rs:       make([]*ROBEntry, 0, cfg.RSSize),
+		readyQ:   make([]*ROBEntry, 0, cfg.RSSize),
 		loads:    make([]*ROBEntry, 0, cfg.LQSize),
 		strs:     make([]*ROBEntry, 0, cfg.SQSize),
 		freeList: make([]int, 0, cfg.PhysRegs),
+		// Node 0 is the list-end sentinel. Live entries need at most two
+		// nodes each, but a squashed consumer's nodes stay on its
+		// producers' lists until those are written or reallocated; the
+		// workloads peak below three per RS entry. Trace live-ins may
+		// grow the pool once, after which it only recycles.
+		depNodes: make([]depNode, 1, 4*cfg.RSSize),
+		// The issue stage's candidate lists never hold more than the RS's
+		// host entries, so they are sized once.
+		rsWrapBuf: make([]RSEntry, 0, cfg.RSSize),
 
 		stallCause:   causeNone,
 		recoverCause: causeNone,
@@ -262,6 +289,13 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	}
 	for p := cfg.PhysRegs - 1; p >= 1; p-- {
 		c.freeList = append(c.freeList, p)
+	}
+	// The per-FU candidate lists share one backing array, each capped at
+	// RSSize so an append can never spill into its neighbour.
+	scratch := make([]*RSEntry, len(c.readyScratch)*cfg.RSSize)
+	for fu := range c.readyScratch {
+		lo, hi := fu*cfg.RSSize, (fu+1)*cfg.RSSize
+		c.readyScratch[fu] = scratch[lo:lo:hi]
 	}
 	for t := range c.fuFree {
 		c.fuFree[t] = make([]uint64, cfg.FUCounts[t])
@@ -293,6 +327,9 @@ func (c *CPU) robPush(e *ROBEntry) {
 	}
 	c.robBuf = append(c.robBuf, e)
 	e.active = true
+	if e.IsTrace() {
+		c.robTraces++
+	}
 }
 
 func (c *CPU) robPopFront() *ROBEntry {
@@ -304,7 +341,19 @@ func (c *CPU) robPopFront() *ROBEntry {
 		c.robHead = 0
 	}
 	e.active = false
+	if e.IsTrace() {
+		c.robTraces--
+	}
 	return e
+}
+
+// traceScan returns the ROB for walks that only look at trace invocations:
+// empty when none is in flight, which is always the case in baseline.
+func (c *CPU) traceScan() []*ROBEntry {
+	if c.robTraces == 0 {
+		return nil
+	}
+	return c.robLive()
 }
 
 // feLive returns the queued fetch slots, oldest first.
@@ -444,12 +493,11 @@ func (c *CPU) SetArchReg(r isa.Reg, v uint64) {
 		if v == 0 {
 			return
 		}
-		p = c.freeList[len(c.freeList)-1]
-		c.freeList = c.freeList[:len(c.freeList)-1]
+		p = c.allocReg()
 		c.committedRAT[r] = p
 		c.rat[r] = p
 	}
-	c.regs[p] = physReg{value: v, ready: true, readyAt: c.cycle}
+	c.writeReg(p, v)
 }
 
 // SetPC redirects fetch (and the committed-order resume point) to pc,
@@ -466,7 +514,7 @@ func (c *CPU) SetPC(pc int) {
 // diagnostics.
 func (c *CPU) DebugState() string {
 	if c.robLen() == 0 {
-		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.feLen(), len(c.rs))
+		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.feLen(), c.rsLen)
 	}
 	h := c.robLive()[0]
 	extra := ""
@@ -480,7 +528,7 @@ func (c *CPU) DebugState() string {
 		}())
 	}
 	return fmt.Sprintf("cycle %d pc %d: head seq=%d pc=%d op=%s issued=%v executed=%v%s (rob %d, rs %d, fe %d)",
-		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.robLen(), len(c.rs), c.feLen())
+		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.robLen(), c.rsLen, c.feLen())
 }
 
 // Run simulates until the halt instruction commits. It returns an error if
@@ -785,7 +833,7 @@ func (c *CPU) renameDispatch() {
 func (c *CPU) renameInst(e *ROBEntry) bool {
 	in := &e.Inst
 	needsRS := in.Op != isa.OpHalt && in.Op != isa.OpNop
-	if needsRS && len(c.rs) >= c.cfg.RSSize {
+	if needsRS && c.rsLen >= c.cfg.RSSize {
 		c.stallCause = cpistack.CauseStructRS
 		return false
 	}
@@ -806,21 +854,21 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 	if nsrc >= 1 {
 		e.PhysSrc1 = c.rat[srcs[0]]
 		c.stats.RegReads++
+		c.waitOn(e, e.PhysSrc1)
 	}
 	if nsrc >= 2 {
 		e.PhysSrc2 = c.rat[srcs[1]]
 		c.stats.RegReads++
+		c.waitOn(e, e.PhysSrc2)
 	}
 	if hasDest {
-		p := c.freeList[len(c.freeList)-1]
-		c.freeList = c.freeList[:len(c.freeList)-1]
-		c.regs[p] = physReg{}
+		p := c.allocReg()
 		e.PhysDest = p
 		e.OldPhys = c.rat[in.Dest]
 		c.rat[in.Dest] = p
 	}
 	if needsRS {
-		c.rs = append(c.rs, e)
+		c.enterRS(e)
 	} else {
 		e.Issued = true
 		e.Executed = true // halt/nop complete immediately
@@ -856,6 +904,7 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 	for i, r := range tr.LiveIns {
 		e.traceLiveInPhys[i] = c.rat[r]
 		c.stats.RegReads++
+		c.waitOn(e, e.traceLiveInPhys[i])
 	}
 	e.traceLiveOutPhys = resizeInts(e.traceLiveOutPhys, len(tr.LiveOuts))
 	e.traceOldPhys = resizeInts(e.traceOldPhys, len(tr.LiveOuts))
@@ -865,40 +914,30 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 			e.traceOldPhys[i] = -1
 			continue
 		}
-		p := c.freeList[len(c.freeList)-1]
-		c.freeList = c.freeList[:len(c.freeList)-1]
-		c.regs[p] = physReg{}
+		p := c.allocReg()
 		e.traceLiveOutPhys[i] = p
 		e.traceOldPhys[i] = c.rat[r]
 		c.rat[r] = p
 	}
 	c.stats.TraceLiveInMoves += uint64(len(tr.LiveIns))
 	c.stats.TraceLiveOutMoves += uint64(need)
-	c.rs = append(c.rs, e) // waits for live-ins like a normal RS entry
+	c.enterRS(e) // waits for live-ins like a normal RS entry
 	return true
+}
+
+// enterRS places a renamed entry in the reservation stations. It is the
+// youngest entry, so appending to readyQ keeps Seq order.
+func (c *CPU) enterRS(e *ROBEntry) {
+	c.rsLen++
+	if e.waiting == 0 {
+		c.readyQ = append(c.readyQ, e)
+	}
 }
 
 // ---------------------------------------------------------------- issue --
 
-// fuCandidate reports whether entry e can issue this cycle: operands ready
-// plus op-specific conditions.
-func (c *CPU) fuCandidate(e *ROBEntry) bool {
-	if e.IsTrace() {
-		return c.traceReady(e)
-	}
-	if e.PhysSrc1 >= 0 && !c.regs[e.PhysSrc1].ready {
-		return false
-	}
-	if e.PhysSrc2 >= 0 && !c.regs[e.PhysSrc2].ready {
-		return false
-	}
-	if e.Inst.Op.IsLoad() {
-		return c.loadMayIssue(e)
-	}
-	return true
-}
-
-// loadMayIssue enforces memory-ordering rules for load issue.
+// loadMayIssue enforces memory-ordering rules for issuing e, a load whose
+// address operand is ready.
 func (c *CPU) loadMayIssue(e *ROBEntry) bool {
 	// The address operand is known ready here; compute the address for
 	// disambiguation (idempotent).
@@ -929,7 +968,7 @@ func (c *CPU) loadMayIssue(e *ROBEntry) bool {
 	// store sets; conservative mode waits for them, speculative mode
 	// waits only when the store-sets unit links this load to one of the
 	// invocation's stores.
-	for _, o := range c.robLive() {
+	for _, o := range c.traceScan() {
 		if o.Seq >= e.Seq {
 			break
 		}
@@ -955,13 +994,9 @@ func overlaps(a, b uint64) bool {
 	return a < b+8 && b < a+8
 }
 
-// traceReady decides whether a trace invocation can begin evaluation.
+// traceReady decides whether a trace invocation whose live-ins are all ready
+// can begin evaluation.
 func (c *CPU) traceReady(e *ROBEntry) bool {
-	for _, p := range e.traceLiveInPhys {
-		if !c.regs[p].ready {
-			return false
-		}
-	}
 	if e.Trace.Conservative {
 		// Wait for every older store (host or trace) to be fully known.
 		for _, s := range c.strs {
@@ -1002,12 +1037,13 @@ func (c *CPU) traceReady(e *ROBEntry) bool {
 
 // issue selects up to IssueWidth ready instructions onto free functional
 // units, oldest-first (or per the SelectOverride hook), and schedules their
-// completions.
+// completions. It walks only the ready queue: entries whose operands are
+// ready, in dispatch order.
 func (c *CPU) issue() {
 	if c.hooks.BeginIssue != nil {
 		c.hooks.BeginIssue()
 	}
-	if len(c.rs) == 0 {
+	if len(c.readyQ) == 0 {
 		return
 	}
 	issued := 0
@@ -1018,18 +1054,16 @@ func (c *CPU) issue() {
 	// valid for this issue stage only (see Hooks.SelectOverride).
 	c.rsWrapBuf = c.rsWrapBuf[:0]
 	c.traceScratch = c.traceScratch[:0]
-	for _, e := range c.rs {
-		if e.Issued {
-			continue
+	for _, e := range c.readyQ {
+		switch {
+		case e.IsTrace():
+			if c.traceReady(e) {
+				c.traceScratch = append(c.traceScratch, e)
+			}
+		case e.Inst.Op.IsLoad() && !c.loadMayIssue(e):
+		default:
+			c.rsWrapBuf = append(c.rsWrapBuf, RSEntry{ROB: e})
 		}
-		if !c.fuCandidate(e) {
-			continue
-		}
-		if e.IsTrace() {
-			c.traceScratch = append(c.traceScratch, e)
-			continue
-		}
-		c.rsWrapBuf = append(c.rsWrapBuf, RSEntry{ROB: e})
 	}
 	for fu := range c.readyScratch {
 		c.readyScratch[fu] = c.readyScratch[fu][:0]
@@ -1070,7 +1104,10 @@ func (c *CPU) issue() {
 		}
 		c.readyScratch[fu] = cand
 	}
-	c.compactRS()
+	if n := issued + len(c.traceScratch); n > 0 {
+		c.rsLen -= n
+		c.readyQ = dropIssued(c.readyQ)
+	}
 }
 
 // issueOne executes r's instruction functionally and schedules its
@@ -1157,7 +1194,7 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded,
 			}
 		}
 	}
-	for _, o := range c.robLive() {
+	for _, o := range c.traceScan() {
 		if o.Seq >= seq {
 			break
 		}
@@ -1247,19 +1284,6 @@ func (c *CPU) schedule(at uint64, comp completion) {
 	c.wheel.schedule(c.cycle, at, comp)
 }
 
-// compactRS removes issued entries from the reservation stations, zeroing
-// the vacated tail so no stale entries linger in the backing array.
-func (c *CPU) compactRS() {
-	out := c.rs[:0]
-	for _, e := range c.rs {
-		if !e.Issued {
-			out = append(out, e)
-		}
-	}
-	clearEntryTail(c.rs, len(out))
-	c.rs = out
-}
-
 // ------------------------------------------------------------ writeback --
 
 func (c *CPU) writeback() {
@@ -1347,7 +1371,7 @@ func (c *CPU) writebackALU(e *ROBEntry) {
 // writeResult writes e's destination physical register and broadcasts.
 func (c *CPU) writeResult(e *ROBEntry, v uint64) {
 	if e.PhysDest >= 0 {
-		c.regs[e.PhysDest] = physReg{value: v, ready: true, readyAt: c.cycle}
+		c.writeReg(e.PhysDest, v)
 		c.stats.RegWrites++
 		c.stats.Broadcasts++
 	}
@@ -1410,7 +1434,7 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 		c.mdp.Violation(uint64(l.PC), uint64(e.PC))
 	}
 	// Trace invocations: their recorded loads are snooped the same way.
-	for _, o := range c.robLive() {
+	for _, o := range c.traceScan() {
 		if o.Seq <= e.Seq || !o.IsTrace() || o.TraceRes == nil {
 			continue
 		}
@@ -1545,7 +1569,7 @@ func (c *CPU) writebackTraceLiveOut(e *ROBEntry, i int) {
 		return
 	}
 	if i < len(e.TraceRes.LiveOuts) {
-		c.regs[p] = physReg{value: e.TraceRes.LiveOuts[i], ready: true, readyAt: c.cycle}
+		c.writeReg(p, e.TraceRes.LiveOuts[i])
 		c.stats.RegWrites++
 		c.stats.Broadcasts++
 	}
@@ -1602,6 +1626,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 			if e.Trace.OnSquash != nil && !(inclusive && e.Seq == seq) {
 				e.Trace.OnSquash(SquashExternal)
 			}
+			c.robTraces--
 			for _, p := range e.traceLiveOutPhys {
 				if p >= 0 {
 					c.freeList = append(c.freeList, p)
@@ -1616,14 +1641,20 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	c.robBuf = c.robBuf[:k]
 	c.robHead = 0
 
-	// Rebuild RS / LQ / SQ from surviving entries, zeroing vacated tails.
-	oldRS, oldLoads, oldStrs := len(c.rs), len(c.loads), len(c.strs)
-	c.rs = c.rs[:0]
+	// Rebuild the RS count, ready queue, LQ and SQ from surviving entries,
+	// zeroing vacated tails. Survivors' wait counts stay exact: their
+	// producers are older, so they survived too.
+	oldReady, oldLoads, oldStrs := len(c.readyQ), len(c.loads), len(c.strs)
+	c.rsLen = 0
+	c.readyQ = c.readyQ[:0]
 	c.loads = c.loads[:0]
 	c.strs = c.strs[:0]
 	for _, e := range c.robLive() {
 		if !e.Issued {
-			c.rs = append(c.rs, e)
+			c.rsLen++
+			if e.waiting == 0 {
+				c.readyQ = append(c.readyQ, e)
+			}
 		}
 		if e.IsTrace() {
 			continue
@@ -1635,7 +1666,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 			c.strs = append(c.strs, e)
 		}
 	}
-	clearEntryTail(c.rs[:oldRS], len(c.rs))
+	clearEntryTail(c.readyQ[:oldReady], len(c.readyQ))
 	clearEntryTail(c.loads[:oldLoads], len(c.loads))
 	clearEntryTail(c.strs[:oldStrs], len(c.strs))
 

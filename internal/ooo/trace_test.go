@@ -179,39 +179,44 @@ func storeLoop(n int64) *program.Program {
 	return b.MustBuild()
 }
 
+// storeIterInject builds a fat atomic instruction equivalent to one loop
+// iteration of storeLoop starting at the backedge (pc 4), with its store in
+// the invocation's store buffer. Live-ins r1, r2, r4; live-outs r4, r1.
+func storeIterInject() *TraceInject {
+	tr := &TraceInject{
+		StartPC:  4,
+		ExitPC:   4,
+		LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(4)},
+		LiveOuts: []isa.Reg{isa.R(4), isa.R(1)},
+		NumInsts: 4,
+		PredDirs: []bool{true},
+		StorePCs: []int{1},
+	}
+	tr.Evaluate = func(in TraceInput) TraceResult {
+		r1, r2, r4 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
+		if r1 >= r2 {
+			return TraceResult{ExitMatches: false, ActualExitPC: 5,
+				Branches: []BranchRec{{PC: 4, Taken: false}}, Latency: 2, Ops: 1}
+		}
+		return TraceResult{
+			ExitMatches:  true,
+			ActualExitPC: 4,
+			Branches:     []BranchRec{{PC: 4, Taken: true}},
+			Stores:       []StoreRecord{{PC: 1, Addr: uint64(r4), Value: uint64(r1)}},
+			LiveOuts:     []uint64{uint64(r4 + 8), uint64(r1 + 1)},
+			Latency:      4,
+			Ops:          4,
+		}
+	}
+	return tr
+}
+
 func TestTraceInjectStoresApplyAtCommit(t *testing.T) {
 	const n = 24
 	p := storeLoop(n)
 	m := mem.New()
 	cpu := New(DefaultConfig(), p, m, nil)
-	hooks, injected := injectAtBackedge(4, func() *TraceInject {
-		tr := &TraceInject{
-			StartPC:  4,
-			ExitPC:   4,
-			LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(4)},
-			LiveOuts: []isa.Reg{isa.R(4), isa.R(1)},
-			NumInsts: 4,
-			PredDirs: []bool{true},
-			StorePCs: []int{1},
-		}
-		tr.Evaluate = func(in TraceInput) TraceResult {
-			r1, r2, r4 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
-			if r1 >= r2 {
-				return TraceResult{ExitMatches: false, ActualExitPC: 5,
-					Branches: []BranchRec{{PC: 4, Taken: false}}, Latency: 2, Ops: 1}
-			}
-			return TraceResult{
-				ExitMatches:  true,
-				ActualExitPC: 4,
-				Branches:     []BranchRec{{PC: 4, Taken: true}},
-				Stores:       []StoreRecord{{PC: 1, Addr: uint64(r4), Value: uint64(r1)}},
-				LiveOuts:     []uint64{uint64(r4 + 8), uint64(r1 + 1)},
-				Latency:      4,
-				Ops:          4,
-			}
-		}
-		return tr
-	}, 1<<30)
+	hooks, injected := injectAtBackedge(4, storeIterInject, 1<<30)
 	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
