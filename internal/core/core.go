@@ -195,9 +195,17 @@ type traceState struct {
 	exits   uint64
 }
 
-// cfgState is the invocation state of one configuration.
+// cfgState is the invocation state of one configuration, the configuration
+// of trace ts. It is the ooo.TraceBackend of every invocation of it.
 type cfgState struct {
+	s   *System
 	cfg *fabric.Config
+	ts  *traceState
+	// trace is the pipeline-facing description, derived once from cfg.
+	trace ooo.TraceInject
+	// inst is the fabric instance the latest Acquire placed cfg on;
+	// results depend on the instance only through its scratch and stats.
+	inst *fabric.Fabric
 	// inflight counts in-flight invocations, bounded by the FIFO depth.
 	inflight int
 	// penalty is the reconfiguration penalty owed by the next evaluation.
@@ -209,13 +217,6 @@ type cfgState struct {
 	// evaluated is set.
 	prevEval  uint64
 	evaluated bool
-	// predDirs, loadPCs and storePCs depend only on cfg: the trace's
-	// recorded branch directions (shifted into the global history by fetch
-	// at injection) and its simplified memory-instruction lists for the
-	// store-sets unit (§3.2). The pipeline only reads them.
-	predDirs []bool
-	loadPCs  []int
-	storePCs []int
 }
 
 // New builds a System over prog and memory m.
@@ -442,23 +443,32 @@ func (s *System) trace(key tcache.TraceKey) *traceState {
 	return ts
 }
 
-// config returns cfg's invocation state, deriving the pipeline-facing trace
-// description on first use.
-func (s *System) config(cfg *fabric.Config) *cfgState {
+// config returns the invocation state of cfg, the configuration of trace ts,
+// creating it on first use.
+func (s *System) config(ts *traceState, cfg *fabric.Config) *cfgState {
 	cs := s.configs[cfg]
 	if cs != nil {
 		return cs
 	}
-	cs = &cfgState{cfg: cfg}
+	cs = &cfgState{s: s, cfg: cfg, ts: ts}
+	tr := &cs.trace
+	*tr = ooo.TraceInject{
+		StartPC:      cfg.StartPC,
+		ExitPC:       cfg.ExitPC,
+		LiveIns:      cfg.LiveIns,
+		LiveOuts:     cfg.LiveOuts,
+		Conservative: s.params.Mode == ModeAccelNoSpec,
+		Backend:      cs,
+	}
 	for i := range cfg.Insts {
 		mi := &cfg.Insts[i]
 		switch {
 		case mi.Inst.Op.IsCondBranch():
-			cs.predDirs = append(cs.predDirs, mi.ExpectTaken)
+			tr.PredDirs = append(tr.PredDirs, mi.ExpectTaken)
 		case mi.Inst.Op.IsLoad():
-			cs.loadPCs = append(cs.loadPCs, mi.PC)
+			tr.LoadPCs = append(tr.LoadPCs, mi.PC)
 		case mi.Inst.Op.IsStore():
-			cs.storePCs = append(cs.storePCs, mi.PC)
+			tr.StorePCs = append(tr.StorePCs, mi.PC)
 		}
 	}
 	s.configs[cfg] = cs
@@ -549,49 +559,49 @@ func (s *System) checkSession() {
 // three predicted branches ahead, consult the T-Cache and configuration
 // cache, and either inject an offloaded invocation, start a mapping session,
 // or fall through to normal fetch.
-func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
+func (s *System) beforeFetch(pc int) (*ooo.TraceInject, uint64) {
 	if s.session != nil {
-		return nil, false
+		return nil, 0
 	}
 	in := s.prog.At(pc)
 	if !in.Op.IsBranch() {
-		return nil, false
+		return nil, 0
 	}
 	// Key first: the lookups below need only the TraceKey, so the walk
 	// builds no body unless a mapping session opens.
 	_, key, _, ok := s.walkTrace(pc, false)
 	if !ok {
-		return nil, false
+		return nil, 0
 	}
 	ts := s.trace(key)
 	if ts.disabled {
-		return nil, false
+		return nil, 0
 	}
 
 	if entry := s.cc.Lookup(key); entry != nil {
 		state, _ := s.cc.Predicted(key)
 		if state != cfgcache.StateReady || !s.params.Mode.Offloads() {
-			return nil, false
+			return nil, 0
 		}
 		if ts.blockNext {
 			ts.blockNext = false
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedBlockOnce)
-			return nil, false
+			return nil, 0
 		}
-		cs := s.config(entry.Cfg)
+		cs := s.config(ts, entry.Cfg)
 		if cs.inflight >= s.params.Geometry.FIFODepth {
 			// Input FIFOs full: let the host execute this occurrence
 			// rather than stall fetch behind a long drain.
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedFIFO)
-			return nil, false
+			return nil, 0
 		}
-		return s.inject(ts, cs), false
+		return s.inject(cs)
 	}
 
 	if !s.tc.IsHot(key) {
-		return nil, false
+		return nil, 0
 	}
 	// Hot but unmapped: begin a mapping session; the trace instructions
 	// flow through the pipeline normally while the issue unit maps them.
@@ -603,133 +613,114 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	s.sessionKey = key
 	s.stats.MappingSessions++
 	s.probe.MapStart(s.cpu.Cycle(), pc, key.Dirs)
-	return nil, false
+	return nil, 0
 }
 
-// inject builds the fat atomic trace invocation for the pipeline.
-func (s *System) inject(ts *traceState, cs *cfgState) *ooo.TraceInject {
-	cfg := cs.cfg
-	inst, penalty := s.fabs.Acquire(cfg)
+// inject offloads one invocation of cs's configuration and returns the
+// configuration's trace description with the new invocation's id.
+func (s *System) inject(cs *cfgState) (*ooo.TraceInject, uint64) {
+	var penalty int
+	cs.inst, penalty = s.fabs.Acquire(cs.cfg)
 	if penalty > 0 {
 		cs.penalty = penalty
 	}
 	cs.inflight++
 	s.inflightTotal++
-	if !ts.offloaded {
-		ts.offloaded = true
+	if !cs.ts.offloaded {
+		cs.ts.offloaded = true
 		s.offloadedTraces++
 	}
 	s.stats.Offloads++
 	// The running offload count doubles as the invocation id in probe
 	// events, correlating inject/evaluate/commit/squash across tracks.
-	invocID := s.stats.Offloads
-	if s.probe != nil {
-		s.probe.TraceInject(s.cpu.Cycle(), invocID, cfg.StartPC, cfg.ExitPC, len(cfg.Insts))
-		s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
-	}
+	id := s.stats.Offloads
+	s.probe.TraceInject(s.cpu.Cycle(), id, cs.cfg.StartPC, cs.cfg.ExitPC, len(cs.cfg.Insts))
+	s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
+	return &cs.trace, id
+}
 
-	tr := &ooo.TraceInject{
-		StartPC:      cfg.StartPC,
-		ExitPC:       cfg.ExitPC,
-		LiveIns:      cfg.LiveIns,
-		LiveOuts:     cfg.LiveOuts,
-		NumInsts:     len(cfg.Insts),
-		PredDirs:     cs.predDirs,
-		LoadPCs:      cs.loadPCs,
-		StorePCs:     cs.storePCs,
-		Conservative: s.params.Mode == ModeAccelNoSpec,
+// Evaluate runs invocation id on the fabric.
+func (cs *cfgState) Evaluate(id uint64, in ooo.TraceInput) ooo.TraceResult {
+	s, cfg := cs.s, cs.cfg
+	delay := cs.penalty
+	cs.penalty = 0
+	s.probe.TraceEvalStart(in.Cycle, id, cfg.StartPC, int64(delay))
+	env := fabric.EvalEnv{
+		ReadMem:      in.ReadMem,
+		AccessMem:    s.cpu.Hierarchy().AccessData,
+		MemDep:       s.cpu.MemDep(),
+		Speculative:  s.params.Mode == ModeAccel,
+		StartupDelay: delay,
 	}
-	tr.Evaluate = func(in ooo.TraceInput) ooo.TraceResult {
-		delay := cs.penalty
-		cs.penalty = 0
-		if s.probe != nil {
-			s.probe.TraceEvalStart(in.Cycle, invocID, cfg.StartPC, int64(delay))
-		}
-		env := fabric.EvalEnv{
-			ReadMem:      in.ReadMem,
-			AccessMem:    s.cpu.Hierarchy().AccessData,
-			MemDep:       s.cpu.MemDep(),
-			Speculative:  s.params.Mode == ModeAccel,
-			StartupDelay: delay,
-		}
-		res := inst.Run(fabric.Invocation{
-			Cfg:        cfg,
-			LiveIns:    in.LiveIns,
-			Arrivals:   in.Arrivals,
-			PrevStarts: cs.prevStarts,
-			Now:        int64(in.Cycle),
-			OrderAfter: s.lastStoreDone,
-		}, env)
-		res.ConfigWait = delay
-		if res.ExitMatches && !res.MemViolation {
-			cs.prevStarts = res.StartTimes
-			if res.LastStoreDone > s.lastStoreDone {
-				s.lastStoreDone = res.LastStoreDone
-			}
-		}
-		s.stats.InvocLatencySum += uint64(res.Latency)
-		s.stats.InvocCount++
-		ii := int64(-1)
-		if cs.evaluated && in.Cycle > cs.prevEval {
-			s.stats.InvocIISum += in.Cycle - cs.prevEval
-			s.stats.InvocIICount++
-			ii = int64(in.Cycle - cs.prevEval)
-		}
-		cs.prevEval, cs.evaluated = in.Cycle, true
-		if s.probe != nil {
-			end := in.Cycle + uint64(res.Latency)
-			s.probe.TraceEvalEnd(end, invocID, cfg.StartPC, int64(res.Latency), int64(res.Ops), ii)
-		}
-		return res
-	}
-	// The FIFO entries free when the invocation completes on the fabric;
-	// a squash before completion frees them too, exactly once.
-	fifoFreed := false
-	free := func() {
-		if !fifoFreed {
-			fifoFreed = true
-			cs.inflight--
-			s.inflightTotal--
-			if s.probe != nil {
-				s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
-			}
+	res := cs.inst.Run(fabric.Invocation{
+		Cfg:        cfg,
+		LiveIns:    in.LiveIns,
+		Arrivals:   in.Arrivals,
+		PrevStarts: cs.prevStarts,
+		Now:        int64(in.Cycle),
+		OrderAfter: s.lastStoreDone,
+	}, env)
+	res.ConfigWait = delay
+	if res.ExitMatches && !res.MemViolation {
+		cs.prevStarts = res.StartTimes
+		if res.LastStoreDone > s.lastStoreDone {
+			s.lastStoreDone = res.LastStoreDone
 		}
 	}
-	tr.OnComplete = free
-	tr.OnCommit = func(res *ooo.TraceResult) {
-		free()
-		s.stats.TraceCommits++
-		if s.probe != nil {
-			s.probe.TraceCommit(s.cpu.Cycle(), invocID, cfg.StartPC, int64(res.Ops))
-		}
-		ts.commits++
-		for _, b := range res.Branches {
-			s.noteBranch(b.PC, b.Taken)
-		}
-		// The result is fully consumed at commit; recycle its record
-		// storage. (Squashed invocations keep theirs — the squash path
-		// still reads Branches for predictor training.)
-		inst.Release(res)
+	s.stats.InvocLatencySum += uint64(res.Latency)
+	s.stats.InvocCount++
+	ii := int64(-1)
+	if cs.evaluated && in.Cycle > cs.prevEval {
+		s.stats.InvocIISum += in.Cycle - cs.prevEval
+		s.stats.InvocIICount++
+		ii = int64(in.Cycle - cs.prevEval)
 	}
-	tr.OnSquash = func(kind ooo.SquashKind) {
-		free()
-		s.stats.TraceSquashes++
-		if s.probe != nil {
-			s.probe.TraceSquash(s.cpu.Cycle(), invocID, cfg.StartPC, int64(kind), kind.String())
-		}
-		switch kind {
-		case ooo.SquashBranchExit:
-			s.stats.BranchExits++
-			ts.blockNext = true
-			s.noteExit(ts)
-		case ooo.SquashMemOrder:
-			s.stats.MemOrderKills++
-			ts.blockNext = true
-		case ooo.SquashExternal:
-			s.stats.ExternalKills++
-		}
+	cs.prevEval, cs.evaluated = in.Cycle, true
+	s.probe.TraceEvalEnd(in.Cycle+uint64(res.Latency), id, cfg.StartPC, int64(res.Latency), int64(res.Ops), ii)
+	return res
+}
+
+// Complete frees the invocation's input/output FIFO entries.
+func (cs *cfgState) Complete(id uint64) {
+	cs.inflight--
+	cs.s.inflightTotal--
+	cs.s.probe.FIFOOccupancy(cs.s.cpu.Cycle(), cs.s.inflightTotal)
+}
+
+// Commit feeds the invocation's branch outcomes to trace detection and
+// recycles its records.
+func (cs *cfgState) Commit(id uint64, res *ooo.TraceResult) {
+	s := cs.s
+	s.stats.TraceCommits++
+	s.probe.TraceCommit(s.cpu.Cycle(), id, cs.cfg.StartPC, int64(res.Ops))
+	cs.ts.commits++
+	for _, b := range res.Branches {
+		s.noteBranch(b.PC, b.Taken)
 	}
-	return tr
+	cs.inst.Release(res)
+}
+
+// Squash sends the trace's next occurrence to the host when the trace
+// caused the squash itself (block-once), and recycles an evaluated
+// invocation's records.
+func (cs *cfgState) Squash(id uint64, kind ooo.SquashKind, res *ooo.TraceResult) {
+	s := cs.s
+	s.stats.TraceSquashes++
+	s.probe.TraceSquash(s.cpu.Cycle(), id, cs.cfg.StartPC, int64(kind), kind.String())
+	switch kind {
+	case ooo.SquashBranchExit:
+		s.stats.BranchExits++
+		cs.ts.blockNext = true
+		s.noteExit(cs.ts)
+	case ooo.SquashMemOrder:
+		s.stats.MemOrderKills++
+		cs.ts.blockNext = true
+	case ooo.SquashExternal:
+		s.stats.ExternalKills++
+	}
+	if res != nil {
+		cs.inst.Release(res)
+	}
 }
 
 // noteExit tracks per-trace branch-exit rates over evaluated invocations; a

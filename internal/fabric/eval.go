@@ -267,10 +267,14 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 		f.scratch.lastCfg = cfg
 	}
 
+	// The whole record set rides in the result, so Release gets all of it
+	// back even from an early return that never fills the live-outs.
 	rs := f.getRecordSet()
 	res := ooo.TraceResult{
 		ExitMatches:  true,
 		ActualExitPC: cfg.ExitPC,
+		LiveOuts:     rs.liveOuts,
+		LiveOutDelay: rs.liveOutDelay,
 		Loads:        rs.loads,
 		Stores:       rs.stores,
 		Branches:     rs.branches,
@@ -472,8 +476,8 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 
 	// Live-outs: values and per-live-out ready offsets (+1 global bus),
 	// relative to Now and clamped to at least one cycle.
-	res.LiveOuts = resizeUint64s(rs.liveOuts, len(cfg.LiveOuts))
-	res.LiveOutDelay = resizeInts(rs.liveOutDelay, len(cfg.LiveOuts))
+	res.LiveOuts = resizeUint64s(res.LiveOuts, len(cfg.LiveOuts))
+	res.LiveOutDelay = resizeInts(res.LiveOutDelay, len(cfg.LiveOuts))
 	for i, p := range cfg.LiveOutProducer {
 		res.LiveOuts[i] = values[p]
 		d := done[p] + 1 - inv.Now

@@ -55,9 +55,14 @@ type ROBEntry struct {
 	LQIndex   int
 	SQIndex   int
 
-	// Trace invocation state (fat atomic instruction).
+	// Trace invocation state (fat atomic instruction): the
+	// configuration's static description, and the result, which TraceRes
+	// points to once the invocation evaluated. traceID names the
+	// invocation to Trace.Backend.
 	Trace        *TraceInject
 	TraceRes     *TraceResult
+	traceRes     TraceResult
+	traceID      uint64
 	DispatchedAt uint64
 	// evalStartAt is the cycle fabric evaluation began (issueTrace);
 	// cycle accounting splits head-of-ROB occupancy into config-wait and
@@ -221,7 +226,6 @@ type CPU struct {
 	// free in steady state. Contents are valid only within the pipeline
 	// stage that fills them.
 	entryPool    []*ROBEntry                // recycled ROB entries (LIFO)
-	flushScratch []*ROBEntry                // squash: entries awaiting release
 	rsWrapBuf    []RSEntry                  // issue: candidate wrappers
 	readyScratch [isa.NumFUTypes][]*RSEntry // issue: per-FU candidate lists
 	traceScratch []*ROBEntry                // issue: ready trace invocations
@@ -304,7 +308,7 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	// at the invocation being evaluated (the TraceInput contract makes
 	// ReadMem transient, valid only during Evaluate).
 	c.readMemFn = func(addr uint64) uint64 {
-		v, _, _ := c.forwardFromStores(c.readMemSeq, addr)
+		v, _ := c.forwardFromStores(c.readMemSeq, addr)
 		return v
 	}
 	return c
@@ -394,10 +398,11 @@ func (c *CPU) newEntry() *ROBEntry {
 	return &ROBEntry{}
 }
 
-// freeEntry recycles e once it has left every pipeline structure. Entries
-// with unfired completion events are left to the garbage collector instead:
-// the events still reference them, and a recycled entry must never be
-// observable through a stale event.
+// freeEntry recycles e once it has left every pipeline structure and has no
+// unfired completion events; with events pending it does nothing, since a
+// recycled entry must never be observable through a stale event. Every path
+// that retires an entry or drops one of its events calls it, so the entry
+// recycles exactly once, when the last of these happens.
 func (c *CPU) freeEntry(e *ROBEntry) {
 	if e.pending != 0 {
 		return
@@ -694,12 +699,8 @@ func (c *CPU) fetch() {
 		}
 		// DynaSpAM: give the framework a chance to take over.
 		if c.hooks.BeforeFetch != nil {
-			tr, stall := c.hooks.BeforeFetch(c.pc)
-			if stall {
-				return // FIFO backpressure: retry next cycle
-			}
-			if tr != nil {
-				c.fetchTrace(tr)
+			if tr, id := c.hooks.BeforeFetch(c.pc); tr != nil {
+				c.fetchTrace(tr, id)
 				return // trace injection ends the fetch group
 			}
 		}
@@ -763,10 +764,10 @@ func (c *CPU) fetch() {
 	}
 }
 
-// fetchTrace injects a fat atomic trace invocation, checkpointing the global
-// branch history and shifting in the trace's predicted directions so that
-// lookahead past the invocation stays consistent.
-func (c *CPU) fetchTrace(tr *TraceInject) {
+// fetchTrace injects invocation id of tr, checkpointing the global branch
+// history and shifting in the trace's predicted directions so that lookahead
+// past the invocation stays consistent.
+func (c *CPU) fetchTrace(tr *TraceInject, id uint64) {
 	e := c.newEntry()
 	e.Seq = c.nextSeq()
 	e.PC = tr.StartPC
@@ -775,6 +776,7 @@ func (c *CPU) fetchTrace(tr *TraceInject) {
 	e.PhysSrc1, e.PhysSrc2 = -1, -1
 	e.LQIndex, e.SQIndex = -1, -1
 	e.Trace = tr
+	e.traceID = id
 	e.HistAtPred = c.bp.History()
 	for _, d := range tr.PredDirs {
 		c.bp.SpeculateHistory(d)
@@ -1142,19 +1144,12 @@ func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
 	case in.Op.IsLoad():
 		kind = compLoad
 		c.stats.LoadsExecuted++
-		val, fwd, ok := c.forwardFromStores(e.Seq, e.Addr)
-		if ok {
-			e.StoreVal = val
-			if fwd {
-				c.stats.StoreForwards++
-				lat += 1
-			} else {
-				lat += c.hier.AccessData(e.Addr, false)
-			}
+		var fwd bool
+		e.StoreVal, fwd = c.forwardFromStores(e.Seq, e.Addr)
+		if fwd {
+			c.stats.StoreForwards++
+			lat += 1
 		} else {
-			// Unreachable if loadMayIssue gated correctly; read
-			// memory as a safe default.
-			e.StoreVal = c.mem.Read64(e.Addr)
 			lat += c.hier.AccessData(e.Addr, false)
 		}
 	case in.Op.IsStore():
@@ -1176,48 +1171,37 @@ func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
 	c.schedule(c.cycle+uint64(lat), completion{entry: e, kind: kind})
 }
 
-// forwardFromStores finds the youngest older store (host SQ entry or trace
-// store buffer) covering addr. Returns its value, whether it was a forward
-// (vs memory read), and ok.
-func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded, ok bool) {
-	var best *ROBEntry
-	var bestTraceVal uint64
-	bestIsTrace := false
+// forwardFromStores returns the value at addr seen by the instruction with
+// sequence number seq: the youngest older store covering addr (host SQ entry
+// or trace store buffer), else memory. forwarded reports which.
+func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded bool) {
+	var bestSeq uint64
+	// The SQ is in program order, so the last match is the youngest.
 	for _, s := range c.strs {
 		if s.Seq >= seq {
 			break
 		}
 		if s.AddrValid && s.Executed && s.Addr == addr {
-			if best == nil || s.Seq > best.Seq {
-				best = s
-				bestIsTrace = false
-			}
+			bestSeq, val, forwarded = s.Seq, s.StoreVal, true
 		}
 	}
 	for _, o := range c.traceScan() {
 		if o.Seq >= seq {
 			break
 		}
-		if o.IsTrace() && o.TraceRes != nil {
-			for i := range o.TraceRes.Stores {
-				st := &o.TraceRes.Stores[i]
-				if st.Addr == addr {
-					if best == nil || o.Seq >= best.Seq {
-						best = o
-						bestTraceVal = st.Value
-						bestIsTrace = true
-					}
-				}
+		if o.TraceRes == nil || (forwarded && o.Seq < bestSeq) {
+			continue
+		}
+		for i := range o.TraceRes.Stores {
+			if st := &o.TraceRes.Stores[i]; st.Addr == addr {
+				bestSeq, val, forwarded = o.Seq, st.Value, true
 			}
 		}
 	}
-	if best != nil {
-		if bestIsTrace {
-			return bestTraceVal, true, true
-		}
-		return best.StoreVal, true, true
+	if !forwarded {
+		val = c.mem.Read64(addr)
 	}
-	return c.mem.Read64(addr), false, true
+	return val, forwarded
 }
 
 // issueTrace begins fabric evaluation of a trace invocation.
@@ -1252,8 +1236,9 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 		}
 		in.Arrivals[i] = int64(at)
 	}
-	res := tr.Evaluate(in)
-	e.TraceRes = &res
+	e.traceRes = tr.Backend.Evaluate(e.traceID, in)
+	res := &e.traceRes
+	e.TraceRes = res
 	c.stats.TraceFabricLoads += uint64(len(res.Loads))
 	c.stats.TraceFabricStores += uint64(len(res.Stores))
 	if res.Latency < 1 {
@@ -1298,7 +1283,11 @@ func (c *CPU) writeback() {
 		e := comp.entry
 		e.pending--
 		if !e.active {
-			continue // squashed (or committed) while in flight
+			// Squashed (or committed) while in flight: a squash in
+			// this batch cannot trim the batch's own events, so the
+			// entry's last event recycles it.
+			c.freeEntry(e)
+			continue
 		}
 		// A trace-done handler can squash e itself, recycling the entry
 		// mid-iteration; capture the identity the hook reports first.
@@ -1408,8 +1397,8 @@ func (c *CPU) mdpRegisterStore(e *ROBEntry) {
 // executed before store e and read a stale value. The squash must start at
 // the oldest violating consumer: everything from the consumer onward
 // re-executes, while instructions between the store and the consumer keep
-// their results. Returns true if a squash occurred.
-func (c *CPU) checkViolation(e *ROBEntry) bool {
+// their results.
+func (c *CPU) checkViolation(e *ROBEntry) {
 	var victim *ROBEntry // oldest violating consumer
 	victimPC := 0
 	for _, l := range c.loads {
@@ -1453,28 +1442,24 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 		}
 	}
 	if victim == nil {
-		return false
+		return
 	}
 	c.stats.MemViolations++
 	c.recoverCause = cpistack.CauseSquashMemOrder
 	if victim.IsTrace() {
 		c.stats.TraceSquashes++
 		c.recoverCause = cpistack.CauseFabricSquashMemOrder
-		if victim.Trace.OnSquash != nil {
-			victim.Trace.OnSquash(SquashMemOrder)
-		}
+		c.squashTrace(victim, SquashMemOrder)
 	}
 	c.squashFrom(victim.Seq, victimPC)
-	return true
 }
 
 // traceStoreViolations runs when a trace invocation's stores become known:
 // younger host loads that issued before the evaluation may have read stale
-// values. Returns true if a squash occurred.
-func (c *CPU) traceStoreViolations(e *ROBEntry) bool {
+// values.
+func (c *CPU) traceStoreViolations(e *ROBEntry) {
 	res := e.TraceRes
 	var victim *ROBEntry
-	var victimStPC int
 	for i := range res.Stores {
 		st := &res.Stores[i]
 		for _, l := range c.loads {
@@ -1489,18 +1474,16 @@ func (c *CPU) traceStoreViolations(e *ROBEntry) bool {
 			}
 			c.mdp.Violation(uint64(l.PC), uint64(st.PC))
 			if victim == nil || l.Seq < victim.Seq {
-				victim, victimStPC = l, st.PC
+				victim = l
 			}
 		}
 	}
-	_ = victimStPC
 	if victim == nil {
-		return false
+		return
 	}
 	c.stats.MemViolations++
 	c.recoverCause = cpistack.CauseSquashMemOrder
 	c.squashFrom(victim.Seq, victim.PC)
-	return true
 }
 
 // interveningStore reports whether a store with sequence in (after, before)
@@ -1514,9 +1497,8 @@ func (c *CPU) interveningStore(after, before uint64, addr uint64) bool {
 	return false
 }
 
-// writebackTraceDone finalizes a trace invocation. Returns true if it
-// squashed the pipeline.
-func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
+// writebackTraceDone finalizes a trace invocation.
+func (c *CPU) writebackTraceDone(e *ROBEntry) {
 	res := e.TraceRes
 	if !res.ExitMatches || res.MemViolation {
 		kind := SquashBranchExit
@@ -1527,9 +1509,6 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 			c.stats.MemViolations++
 		}
 		c.stats.TraceSquashes++
-		if e.Trace.OnSquash != nil {
-			e.Trace.OnSquash(kind)
-		}
 		// Rewind the global history to the injection point; the host
 		// re-predicts the region's branches as it re-executes it.
 		c.bp.Restore(e.HistAtPred)
@@ -1546,18 +1525,18 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 				hist = hist<<1 | histBit(br.Taken)
 			}
 		}
+		// Training is done with res: the backend may now recycle it.
+		c.squashTrace(e, kind)
 		c.squashFrom(e.Seq, e.Trace.StartPC)
-		return true
+		return
 	}
 	// The invocation itself is complete; a violation below squashes only
 	// younger consumers, so mark completion first.
 	e.Executed = true
-	if e.Trace.OnComplete != nil {
-		e.Trace.OnComplete()
-	}
+	e.Trace.Backend.Complete(e.traceID)
 	// The invocation's stores are now architectural candidates: snoop
 	// younger host loads that issued before the evaluation.
-	return c.traceStoreViolations(e)
+	c.traceStoreViolations(e)
 }
 
 func (c *CPU) writebackTraceLiveOut(e *ROBEntry, i int) {
@@ -1576,6 +1555,16 @@ func (c *CPU) writebackTraceLiveOut(e *ROBEntry, i int) {
 }
 
 // ----------------------------------------------------------------- squash --
+
+// squashTrace reports trace invocation e squashed by kind to its backend,
+// completing it first if the fabric had not: Complete runs exactly once per
+// invocation, always before Commit or Squash.
+func (c *CPU) squashTrace(e *ROBEntry, kind SquashKind) {
+	if !e.Executed {
+		e.Trace.Backend.Complete(e.traceID)
+	}
+	e.Trace.Backend.Squash(e.traceID, kind, e.TraceRes)
+}
 
 // squashAfter flushes every instruction strictly younger than seq and
 // redirects fetch to pc.
@@ -1596,8 +1585,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	// in no other structure, so they recycle immediately.
 	for i := c.feHead; i < len(c.feBuf); i++ {
 		e := c.feBuf[i].entry
-		if e.IsTrace() && e.Trace.OnSquash != nil {
-			e.Trace.OnSquash(SquashExternal)
+		if e.IsTrace() {
+			c.squashTrace(e, SquashExternal)
 		}
 		c.feBuf[i] = fetchSlot{}
 		c.freeEntry(e)
@@ -1608,9 +1597,10 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	c.fetchStall = 0
 
 	// Trim ROB in place: survivors compact to the front of the backing
-	// array (the write index never catches up with the read index), and
-	// flushed entries park in flushScratch until their events are trimmed.
-	c.flushScratch = c.flushScratch[:0]
+	// array (the write index never catches up with the read index).
+	// Flushed entries without pending events recycle at once; the rest
+	// recycle when their last event is trimmed below or, for events of the
+	// cycle writeback is draining, consumed there.
 	k := 0
 	for _, e := range c.robLive() {
 		if keep(e.Seq) {
@@ -1623,8 +1613,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 		if e.IsTrace() {
 			// The initiator already notified the boundary entry
 			// itself; every other squashed invocation is external.
-			if e.Trace.OnSquash != nil && !(inclusive && e.Seq == seq) {
-				e.Trace.OnSquash(SquashExternal)
+			if !(inclusive && e.Seq == seq) {
+				c.squashTrace(e, SquashExternal)
 			}
 			c.robTraces--
 			for _, p := range e.traceLiveOutPhys {
@@ -1635,7 +1625,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 		} else if e.PhysDest >= 0 {
 			c.freeList = append(c.freeList, e.PhysDest)
 		}
-		c.flushScratch = append(c.flushScratch, e)
+		c.freeEntry(e)
 	}
 	clearEntryTail(c.robBuf, k)
 	c.robBuf = c.robBuf[:k]
@@ -1675,21 +1665,15 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	// flushed entries recycle). Flushed entries were just marked inactive,
 	// so `!active` is exactly the keep(Seq) predicate here — it also drops
 	// events of already-committed entries, which writeback would skip
-	// anyway.
+	// anyway. An entry recycles with its last event.
 	c.wheel.filter(func(ev completion) bool {
 		if ev.entry.active {
 			return false
 		}
 		ev.entry.pending--
+		c.freeEntry(ev.entry)
 		return true
 	})
-
-	// Events trimmed: release the flushed entries to the pool.
-	for i, e := range c.flushScratch {
-		c.freeEntry(e)
-		c.flushScratch[i] = nil
-	}
-	c.flushScratch = c.flushScratch[:0]
 
 	// Rebuild the speculative RAT: committed map + surviving renames.
 	copy(c.rat, c.committedRAT)
@@ -1728,13 +1712,10 @@ func (c *CPU) commit() {
 	n := 0
 	for n < c.cfg.CommitWidth && c.robLen() > 0 {
 		e := c.robLive()[0]
-		if !e.Executed && !(e.IsTrace() && e.TraceRes != nil && e.TraceRes.ExitMatches && !e.TraceRes.MemViolation) {
+		if !e.Executed {
 			return
 		}
 		if e.IsTrace() {
-			if !e.Executed {
-				return
-			}
 			c.commitTrace(e)
 		} else {
 			c.commitInst(e)
@@ -1803,9 +1784,7 @@ func (c *CPU) commitTrace(e *ROBEntry) {
 			c.freeList = append(c.freeList, old)
 		}
 	}
-	if e.Trace.OnCommit != nil {
-		e.Trace.OnCommit(res)
-	}
+	e.Trace.Backend.Commit(e.traceID, res)
 	if c.hooks.OnCommit != nil {
 		c.hooks.OnCommit(e.PC, e.Seq, isa.OpNop)
 	}

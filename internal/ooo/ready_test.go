@@ -147,37 +147,34 @@ func TestReadyQueueInvariantWithTraces(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(DefaultConfig(), sumLoop(n), mem.New(), nil)
-			evals := 0
-			exits := 0
-			hooks, injected := injectAtBackedge(5, func() *TraceInject {
-				tr := oneIterInject(&evals)
-				base := tr.Evaluate
-				tr.Evaluate = func(in TraceInput) TraceResult {
-					res := base(in)
-					if res.ExitMatches && tc.delays != nil {
-						res.Latency = 12
-						res.LiveOutDelay = tc.delays
-					}
-					return res
+			tr, b := oneIterInject(t)
+			b.eval = func(in TraceInput) TraceResult {
+				res := oneIterEval(in)
+				if res.ExitMatches && tc.delays != nil {
+					res.Latency = 12
+					res.LiveOutDelay = tc.delays
 				}
-				tr.OnSquash = func(kind SquashKind) {
-					if kind == SquashBranchExit {
-						exits++
-					}
-				}
-				return tr
-			}, 1<<30)
+				return res
+			}
+			hooks, injected := injectAtBackedge(5, tr, 1<<30)
 			c.SetHooks(hooks)
 			stepChecked(t, c)
 			if got := c.ArchRegInt(isa.R(3)); got != n*(n-1)/2 {
 				t.Errorf("r3 = %d, want %d", got, n*(n-1)/2)
 			}
-			if *injected == 0 || evals == 0 {
-				t.Fatalf("injected %d, evaluated %d: want both > 0", *injected, evals)
+			if *injected == 0 || b.evals == 0 {
+				t.Fatalf("injected %d, evaluated %d: want both > 0", *injected, b.evals)
+			}
+			exits := 0
+			for _, k := range b.squashes {
+				if k == SquashBranchExit {
+					exits++
+				}
 			}
 			if tc.wantExit && exits == 0 {
 				t.Error("no branch-exit squash exercised")
 			}
+			b.checkEnded(*injected)
 		})
 	}
 }
@@ -187,10 +184,12 @@ func TestReadyQueueInvariantWithTraces(t *testing.T) {
 // forward and whose live-outs feed the host.
 func TestReadyQueueInvariantTraceStores(t *testing.T) {
 	c := New(DefaultConfig(), storeLoop(24), mem.New(), nil)
-	hooks, injected := injectAtBackedge(4, storeIterInject, 1<<30)
+	tr, b := storeIterInject(t)
+	hooks, injected := injectAtBackedge(4, tr, 1<<30)
 	c.SetHooks(hooks)
 	stepChecked(t, c)
 	if *injected == 0 || c.Stats().TraceFabricStores == 0 {
 		t.Fatalf("injected %d, fabric stores %d: want both > 0", *injected, c.Stats().TraceFabricStores)
 	}
+	b.checkEnded(*injected)
 }

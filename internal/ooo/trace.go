@@ -79,13 +79,13 @@ type BranchRec struct {
 	Taken bool
 }
 
-// TraceResult is the outcome of evaluating one invocation on the fabric.
+// TraceResult is the outcome of evaluating one invocation on the fabric. The
+// invocation's ROB entry owns it (ROBEntry.TraceRes).
 //
 // The record slices (LiveOuts, LiveOutDelay, Stores, Loads, Branches) may be
-// pooled by the producer: the framework hands them back at commit (see
-// fabric.(*Fabric).Release via TraceInject.OnCommit), after which they must
-// not be read. Squashed invocations are never released — the squash path
-// still trains the branch predictor from Branches.
+// pooled by the producer: the pipeline hands the result to
+// TraceBackend.Commit or TraceBackend.Squash once it has finished reading it,
+// and the backend may recycle the records there (fabric.(*Fabric).Release).
 type TraceResult struct {
 	// Latency is the invocation's total cycles from evaluation start to
 	// last result.
@@ -130,10 +130,12 @@ type TraceResult struct {
 	ConfigWait int
 }
 
-// TraceInject describes a fat atomic trace invocation handed to fetch by the
-// DynaSpAM framework. The pipeline renames its live-ins/live-outs, gives it
-// one ROB entry backed by a side record (ROB'), evaluates it on the fabric
-// when its inputs are ready, and commits or squashes it atomically.
+// TraceInject describes the fat atomic trace invocations of one
+// configuration; the framework builds it once and hands it to fetch with a
+// per-invocation id at each offload. The pipeline renames an invocation's
+// live-ins/live-outs, gives it one ROB entry backed by a side record (ROB'),
+// evaluates it on the fabric when its inputs are ready, commits or squashes
+// it atomically, and reports each step to Backend.
 type TraceInject struct {
 	// StartPC is the first instruction of the trace (fetch redirect target
 	// on squash).
@@ -144,8 +146,6 @@ type TraceInject struct {
 	// from and exposes to the host pipeline.
 	LiveIns  []isa.Reg
 	LiveOuts []isa.Reg
-	// NumInsts is the trace length in instructions.
-	NumInsts int
 	// PredDirs holds the predicted direction of each branch inside the
 	// trace, in trace order; fetch shifts these into the global history
 	// at injection.
@@ -159,15 +159,24 @@ type TraceInject struct {
 	// Conservative, when true, delays evaluation until every older store
 	// in the ROB has a known address and value ("w/o speculation" mode).
 	Conservative bool
+	// Backend runs the invocations and observes their fate.
+	Backend TraceBackend
+}
+
+// TraceBackend runs the invocations of one configuration, each named by the
+// id BeforeFetch returned with it. Per invocation the pipeline calls Evaluate
+// at most once, then Complete exactly once, then Commit or Squash once.
+type TraceBackend interface {
 	// Evaluate runs the invocation on the fabric.
-	Evaluate func(in TraceInput) TraceResult
-	// OnComplete fires when the invocation finishes on the fabric and its
-	// live-outs have broadcast (the input/output FIFO entries free here,
-	// before the atomic commit through ROB').
-	OnComplete func()
-	// OnCommit and OnSquash observe the invocation's fate.
-	OnCommit func(res *TraceResult)
-	OnSquash func(kind SquashKind)
+	Evaluate(id uint64, in TraceInput) TraceResult
+	// Complete fires when the invocation's FIFO entries free: when it
+	// finishes on the fabric, or at its squash if it had not.
+	Complete(id uint64)
+	// Commit retires the invocation atomically through ROB'.
+	Commit(id uint64, res *TraceResult)
+	// Squash discards the invocation; res is nil if it never evaluated.
+	// Both res pointers are valid only during the call.
+	Squash(id uint64, kind SquashKind, res *TraceResult)
 }
 
 // Hooks lets the DynaSpAM framework observe and steer the pipeline. All
@@ -176,11 +185,10 @@ type TraceInject struct {
 type Hooks struct {
 	// BeforeFetch is consulted when fetch is about to fetch the
 	// instruction at pc. Returning a non-nil TraceInject replaces the
-	// normal fetch: the invocation occupies the slot and fetch continues
-	// at ExitPC next cycle. Returning stall=true ends the fetch group
-	// without fetching (input-FIFO backpressure); fetch retries at the
-	// same pc next cycle.
-	BeforeFetch func(pc int) (inject *TraceInject, stall bool)
+	// normal fetch with one invocation of it, named id in the Backend
+	// calls: the invocation occupies the slot and fetch continues at
+	// ExitPC next cycle.
+	BeforeFetch func(pc int) (inject *TraceInject, id uint64)
 
 	// OnFetch observes every normally fetched instruction with its
 	// sequence number.

@@ -27,33 +27,100 @@ func sumLoop(n int64) *program.Program {
 	return b.MustBuild()
 }
 
+// Lifecycle steps a testBackend records per invocation id.
+const (
+	stepEvaluated = 1 << iota
+	stepCompleted
+	stepEnded
+)
+
+// testBackend is a TraceBackend over a per-test evaluation function. It
+// checks the lifecycle contract on every call: per invocation, at most one
+// Evaluate, then exactly one Complete, then exactly one Commit or Squash.
+type testBackend struct {
+	t        *testing.T
+	eval     func(in TraceInput) TraceResult
+	steps    map[uint64]int
+	evals    int
+	commits  int
+	squashes []SquashKind
+	// blockNext denies the next injection after a squash, like the real
+	// framework's block-once rule (otherwise an exiting final iteration
+	// would re-inject forever).
+	blockNext bool
+}
+
+// newTestTrace returns tr backed by a testBackend running eval.
+func newTestTrace(t *testing.T, tr TraceInject, eval func(in TraceInput) TraceResult) (*TraceInject, *testBackend) {
+	b := &testBackend{t: t, eval: eval, steps: make(map[uint64]int)}
+	tr.Backend = b
+	return &tr, b
+}
+
+func (b *testBackend) Evaluate(id uint64, in TraceInput) TraceResult {
+	if b.steps[id] != 0 {
+		b.t.Errorf("invocation %d: Evaluate after steps %03b", id, b.steps[id])
+	}
+	b.steps[id] |= stepEvaluated
+	b.evals++
+	return b.eval(in)
+}
+
+func (b *testBackend) Complete(id uint64) {
+	if b.steps[id]&^stepEvaluated != 0 {
+		b.t.Errorf("invocation %d: Complete after steps %03b", id, b.steps[id])
+	}
+	b.steps[id] |= stepCompleted
+}
+
+func (b *testBackend) Commit(id uint64, res *TraceResult) {
+	if b.steps[id] != stepEvaluated|stepCompleted || res == nil {
+		b.t.Errorf("invocation %d: Commit after steps %03b", id, b.steps[id])
+	}
+	b.steps[id] |= stepEnded
+	b.commits++
+}
+
+func (b *testBackend) Squash(id uint64, kind SquashKind, res *TraceResult) {
+	if s := b.steps[id]; s&^stepEvaluated != stepCompleted || (s&stepEvaluated != 0) != (res != nil) {
+		b.t.Errorf("invocation %d: Squash(res set %v) after steps %03b", id, res != nil, s)
+	}
+	b.steps[id] |= stepEnded
+	b.squashes = append(b.squashes, kind)
+	b.blockNext = true
+}
+
+// checkEnded requires every one of the injected invocations, ids 1 to n, to
+// have ended exactly once.
+func (b *testBackend) checkEnded(n int) {
+	b.t.Helper()
+	for id := uint64(1); id <= uint64(n); id++ {
+		if b.steps[id]&stepEnded == 0 {
+			b.t.Errorf("invocation %d never committed or squashed (steps %03b)", id, b.steps[id])
+		}
+	}
+	if b.commits+len(b.squashes) != n {
+		b.t.Errorf("accounting: injected %d != commits %d + squashes %d", n, b.commits, len(b.squashes))
+	}
+}
+
 // injectAtBackedge returns hooks that inject tr whenever fetch reaches pc,
-// bounded by maxInjects. Like the real framework's block-once rule, an
-// invocation that squashes suppresses the next injection so the host
-// re-executes that occurrence (otherwise an exiting final iteration would
-// re-inject forever).
-func injectAtBackedge(pc int, build func() *TraceInject, maxInjects int) (Hooks, *int) {
+// bounded by maxInjects, numbering invocations from 1. tr's backend must be
+// a testBackend, whose block-once flag they honour.
+func injectAtBackedge(pc int, tr *TraceInject, maxInjects int) (Hooks, *int) {
+	b := tr.Backend.(*testBackend)
 	count := new(int)
-	blockNext := false
 	return Hooks{
-		BeforeFetch: func(fetchPC int) (*TraceInject, bool) {
+		BeforeFetch: func(fetchPC int) (*TraceInject, uint64) {
 			if fetchPC != pc || *count >= maxInjects {
-				return nil, false
+				return nil, 0
 			}
-			if blockNext {
-				blockNext = false
-				return nil, false
+			if b.blockNext {
+				b.blockNext = false
+				return nil, 0
 			}
 			*count++
-			tr := build()
-			prevSquash := tr.OnSquash
-			tr.OnSquash = func(kind SquashKind) {
-				blockNext = true
-				if prevSquash != nil {
-					prevSquash(kind)
-				}
-			}
-			return tr, false
+			return tr, uint64(*count)
 		},
 	}, count
 }
@@ -61,52 +128,45 @@ func injectAtBackedge(pc int, build func() *TraceInject, maxInjects int) (Hooks,
 // oneIterInject builds a fat atomic instruction equivalent to one loop
 // iteration of sumLoop starting at the backedge (pc 5): blt taken, then
 // add/addi. Live-ins r1, r2, r3; live-outs r1, r3.
-func oneIterInject(evalCount *int) *TraceInject {
-	tr := &TraceInject{
+func oneIterInject(t *testing.T) (*TraceInject, *testBackend) {
+	return newTestTrace(t, TraceInject{
 		StartPC:  5,
 		ExitPC:   5,
 		LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(3)},
 		LiveOuts: []isa.Reg{isa.R(3), isa.R(1)},
-		NumInsts: 3,
 		PredDirs: []bool{true},
-	}
-	tr.Evaluate = func(in TraceInput) TraceResult {
-		*evalCount++
-		r1, r2, r3 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
-		if r1 >= r2 {
-			// The backedge would not be taken: off the recorded path.
-			return TraceResult{
-				ExitMatches:  false,
-				ActualExitPC: 6,
-				Branches:     []BranchRec{{PC: 5, Taken: false}},
-				Latency:      3,
-				Ops:          1,
-			}
-		}
+	}, oneIterEval)
+}
+
+// oneIterEval evaluates oneIterInject's iteration.
+func oneIterEval(in TraceInput) TraceResult {
+	r1, r2, r3 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
+	if r1 >= r2 {
+		// The backedge would not be taken: off the recorded path.
 		return TraceResult{
-			ExitMatches:  true,
-			ActualExitPC: 5,
-			Branches:     []BranchRec{{PC: 5, Taken: true}},
-			LiveOuts:     []uint64{uint64(r3 + r1), uint64(r1 + 1)},
-			Latency:      4,
-			Ops:          3,
+			ExitMatches:  false,
+			ActualExitPC: 6,
+			Branches:     []BranchRec{{PC: 5, Taken: false}},
+			Latency:      3,
+			Ops:          1,
 		}
 	}
-	return tr
+	return TraceResult{
+		ExitMatches:  true,
+		ActualExitPC: 5,
+		Branches:     []BranchRec{{PC: 5, Taken: true}},
+		LiveOuts:     []uint64{uint64(r3 + r1), uint64(r1 + 1)},
+		Latency:      4,
+		Ops:          3,
+	}
 }
 
 func TestTraceInjectCommitsAtomically(t *testing.T) {
 	const n = 40
 	p := sumLoop(n)
 	cpu := New(DefaultConfig(), p, mem.New(), nil)
-	evals := 0
-	commits, squashes := 0, 0
-	hooks, injected := injectAtBackedge(5, func() *TraceInject {
-		tr := oneIterInject(&evals)
-		tr.OnCommit = func(res *TraceResult) { commits++ }
-		tr.OnSquash = func(kind SquashKind) { squashes++ }
-		return tr
-	}, 1<<30)
+	tr, b := oneIterInject(t)
+	hooks, injected := injectAtBackedge(5, tr, 1<<30)
 	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
@@ -118,12 +178,10 @@ func TestTraceInjectCommitsAtomically(t *testing.T) {
 	if got := cpu.ArchRegInt(isa.R(1)); got != n {
 		t.Errorf("r1 = %d, want %d", got, n)
 	}
-	if *injected == 0 || evals == 0 || commits == 0 {
-		t.Errorf("inject/eval/commit = %d/%d/%d, want all > 0", *injected, evals, commits)
+	if *injected == 0 || b.evals == 0 || b.commits == 0 {
+		t.Errorf("inject/eval/commit = %d/%d/%d, want all > 0", *injected, b.evals, b.commits)
 	}
-	if *injected != commits+squashes {
-		t.Errorf("accounting: injected %d != commits %d + squashes %d", *injected, commits, squashes)
-	}
+	b.checkEnded(*injected)
 	if cpu.Stats().TraceCommittedOps == 0 {
 		t.Error("no ops retired via traces")
 	}
@@ -136,13 +194,8 @@ func TestTraceInjectBranchExitSquashes(t *testing.T) {
 	const n = 12
 	p := sumLoop(n)
 	cpu := New(DefaultConfig(), p, mem.New(), nil)
-	evals := 0
-	var kinds []SquashKind
-	hooks, _ := injectAtBackedge(5, func() *TraceInject {
-		tr := oneIterInject(&evals)
-		tr.OnSquash = func(kind SquashKind) { kinds = append(kinds, kind) }
-		return tr
-	}, 1<<30)
+	tr, b := oneIterInject(t)
+	hooks, injected := injectAtBackedge(5, tr, 1<<30)
 	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
@@ -151,14 +204,15 @@ func TestTraceInjectBranchExitSquashes(t *testing.T) {
 		t.Errorf("r3 = %d, want %d", got, n*(n-1)/2)
 	}
 	foundExit := false
-	for _, k := range kinds {
+	for _, k := range b.squashes {
 		if k == SquashBranchExit {
 			foundExit = true
 		}
 	}
 	if !foundExit {
-		t.Errorf("no branch-exit squash recorded (kinds %v)", kinds)
+		t.Errorf("no branch-exit squash recorded (kinds %v)", b.squashes)
 	}
+	b.checkEnded(*injected)
 	if cpu.Stats().TraceSquashes == 0 {
 		t.Error("TraceSquashes = 0")
 	}
@@ -182,17 +236,15 @@ func storeLoop(n int64) *program.Program {
 // storeIterInject builds a fat atomic instruction equivalent to one loop
 // iteration of storeLoop starting at the backedge (pc 4), with its store in
 // the invocation's store buffer. Live-ins r1, r2, r4; live-outs r4, r1.
-func storeIterInject() *TraceInject {
-	tr := &TraceInject{
+func storeIterInject(t *testing.T) (*TraceInject, *testBackend) {
+	return newTestTrace(t, TraceInject{
 		StartPC:  4,
 		ExitPC:   4,
 		LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(4)},
 		LiveOuts: []isa.Reg{isa.R(4), isa.R(1)},
-		NumInsts: 4,
 		PredDirs: []bool{true},
 		StorePCs: []int{1},
-	}
-	tr.Evaluate = func(in TraceInput) TraceResult {
+	}, func(in TraceInput) TraceResult {
 		r1, r2, r4 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
 		if r1 >= r2 {
 			return TraceResult{ExitMatches: false, ActualExitPC: 5,
@@ -207,8 +259,7 @@ func storeIterInject() *TraceInject {
 			Latency:      4,
 			Ops:          4,
 		}
-	}
-	return tr
+	})
 }
 
 func TestTraceInjectStoresApplyAtCommit(t *testing.T) {
@@ -216,7 +267,8 @@ func TestTraceInjectStoresApplyAtCommit(t *testing.T) {
 	p := storeLoop(n)
 	m := mem.New()
 	cpu := New(DefaultConfig(), p, m, nil)
-	hooks, injected := injectAtBackedge(4, storeIterInject, 1<<30)
+	tr, b := storeIterInject(t)
+	hooks, injected := injectAtBackedge(4, tr, 1<<30)
 	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
@@ -232,6 +284,7 @@ func TestTraceInjectStoresApplyAtCommit(t *testing.T) {
 	if cpu.Stats().TraceFabricStores == 0 {
 		t.Error("no fabric stores counted")
 	}
+	b.checkEnded(*injected)
 }
 
 func TestTraceInjectHostForwardsFromTraceStores(t *testing.T) {
@@ -246,35 +299,26 @@ func TestTraceInjectHostForwardsFromTraceStores(t *testing.T) {
 	p := b.MustBuild()
 
 	cpu := New(DefaultConfig(), p, mem.New(), nil)
-	injected := false
-	cpu.SetHooks(Hooks{
-		BeforeFetch: func(pc int) (*TraceInject, bool) {
-			if pc == 2 && !injected {
-				injected = true
-				tr := &TraceInject{
-					StartPC: 2, ExitPC: 2,
-					LiveIns:  []isa.Reg{isa.R(1), isa.R(2)},
-					LiveOuts: []isa.Reg{},
-					NumInsts: 1,
-				}
-				tr.Evaluate = func(in TraceInput) TraceResult {
-					return TraceResult{
-						ExitMatches:  true,
-						ActualExitPC: 2,
-						Stores:       []StoreRecord{{PC: 99, Addr: in.LiveIns[1], Value: 777}},
-						LiveOuts:     []uint64{},
-						Latency:      6,
-						Ops:          1,
-					}
-				}
-				return tr, false
-			}
-			return nil, false
-		},
+	tr, be := newTestTrace(t, TraceInject{
+		StartPC: 2, ExitPC: 2,
+		LiveIns:  []isa.Reg{isa.R(1), isa.R(2)},
+		LiveOuts: []isa.Reg{},
+	}, func(in TraceInput) TraceResult {
+		return TraceResult{
+			ExitMatches:  true,
+			ActualExitPC: 2,
+			Stores:       []StoreRecord{{PC: 99, Addr: in.LiveIns[1], Value: 777}},
+			LiveOuts:     []uint64{},
+			Latency:      6,
+			Ops:          1,
+		}
 	})
+	hooks, injected := injectAtBackedge(2, tr, 1)
+	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
 	}
+	be.checkEnded(*injected)
 	if got := cpu.ArchRegInt(isa.R(3)); got != 777 {
 		t.Errorf("host load = %d, want 777 (forwarded from trace store buffer)", got)
 	}
@@ -300,22 +344,17 @@ func TestTraceLiveOutPipelining(t *testing.T) {
 	const n = 200
 	p := sumLoop(n)
 	cpu := New(DefaultConfig(), p, mem.New(), nil)
-	evals := 0
-	hooks, injected := injectAtBackedge(5, func() *TraceInject {
-		tr := oneIterInject(&evals)
-		// Long tail latency, early live-outs: pipelining should hide
-		// the tail.
-		base := tr.Evaluate
-		tr.Evaluate = func(in TraceInput) TraceResult {
-			res := base(in)
-			if res.ExitMatches {
-				res.Latency = 30
-				res.LiveOutDelay = []int{2, 2}
-			}
-			return res
+	tr, b := oneIterInject(t)
+	// Long tail latency, early live-outs: pipelining should hide the tail.
+	b.eval = func(in TraceInput) TraceResult {
+		res := oneIterEval(in)
+		if res.ExitMatches {
+			res.Latency = 30
+			res.LiveOutDelay = []int{2, 2}
 		}
-		return tr
-	}, 1<<30)
+		return res
+	}
+	hooks, injected := injectAtBackedge(5, tr, 1<<30)
 	cpu.SetHooks(hooks)
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)

@@ -43,17 +43,16 @@ func (p *Program) Disassemble() string {
 func (p *Program) Validate() error {
 	haltSeen := false
 	for pc, in := range p.Insts {
-		info := fmt.Sprintf("%s @%d", in, pc)
 		if in.Op.IsBranch() {
 			if in.Target < 0 || in.Target >= len(p.Insts) {
-				return fmt.Errorf("program %s: branch target out of range: %s", p.Name, info)
+				return fmt.Errorf("program %s: branch target out of range: %s @%d", p.Name, in, pc)
 			}
 		}
 		if in.Op == isa.OpHalt {
 			haltSeen = true
 		}
 		if err := checkRegs(in); err != nil {
-			return fmt.Errorf("program %s: %v: %s", p.Name, err, info)
+			return fmt.Errorf("program %s: %v: %s @%d", p.Name, err, in, pc)
 		}
 	}
 	if !haltSeen {

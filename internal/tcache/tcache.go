@@ -96,8 +96,10 @@ type TCache struct {
 	tick     uint64
 	branches int
 
-	// Sliding window of the last HistoryLen+1 committed branches.
-	window []committedBranch
+	// window holds the last HistoryLen committed branches, oldest first;
+	// filled counts its valid entries.
+	window [HistoryLen]committedBranch
+	filled int
 
 	stats Stats
 	probe *probe.Probe
@@ -143,18 +145,20 @@ func New(cfg Config) *TCache {
 // call, if any.
 func (t *TCache) OnBranchCommit(pc int, taken bool) (hot TraceKey, becameHot bool) {
 	t.stats.BranchesSeen++
-	t.window = append(t.window, committedBranch{pc: pc, taken: taken})
-	if len(t.window) > HistoryLen {
-		t.window = t.window[len(t.window)-HistoryLen:]
+	copy(t.window[:], t.window[1:])
+	t.window[HistoryLen-1] = committedBranch{pc: pc, taken: taken}
+	if t.filled < HistoryLen {
+		t.filled++
+		if t.filled < HistoryLen {
+			return TraceKey{}, false
+		}
 	}
-	if len(t.window) < HistoryLen {
-		return TraceKey{}, false
-	}
-	dirs := make([]bool, HistoryLen)
+	key := TraceKey{AnchorPC: t.window[0].pc}
 	for i, b := range t.window {
-		dirs[i] = b.taken
+		if b.taken {
+			key.Dirs |= 1 << uint(i)
+		}
 	}
-	key := TraceKey{AnchorPC: t.window[0].pc, Dirs: DirsOf(dirs)}
 	e := t.lookup(key, true)
 	if e.counter < t.cfg.CounterMax {
 		e.counter++
@@ -199,7 +203,7 @@ func (t *TCache) Unhot(key TraceKey) {
 // only from branches committed after the call. The simulator never calls
 // it: the window slides over the committed-branch stream, which squashes
 // do not interrupt. Tests use it to feed independent branch patterns.
-func (t *TCache) ResetWindow() { t.window = t.window[:0] }
+func (t *TCache) ResetWindow() { t.filled = 0 }
 
 // Stats returns a copy of the counters.
 func (t *TCache) Stats() Stats { return t.stats }
